@@ -38,10 +38,21 @@
 //! meets `len(shortest route)` at `c*`, and never dips below it
 //! because every `d_c` is a real walk length (`d_c ≥ true distance`,
 //! then the triangle inequality). Disconnected pairs share no hub.
-//! Exact distances are what let `HubIndex::next_hop`
-//! reproduce the canonical dense rule bit-for-bit: scan `s`'s CSR row
-//! (ascending slot order) and return the first neighbor `u` with
-//! `w(s, u) + dist(u, t) = dist(s, t)`.
+//! Exact distances are what let `HubIndex::walk` reproduce the
+//! canonical dense rule bit-for-bit: at each head `s` of the route,
+//! scan `s`'s CSR row (ascending slot order) and take the first
+//! neighbor `u` with `w(s, u) + dist(u, t) = dist(s, t)`.
+//!
+//! # Serving: one walk per query
+//!
+//! A query scatters `L(t)` once into a per-thread hub-indexed array,
+//! so each `dist(u, t)` is a single pass over `L(u)` rather than a
+//! two-row merge. A pass stops at the first sum that reaches
+//! `dist(s, t) − w(s, u)` — the triangle inequality rules out any
+//! smaller sum — and the chosen neighbor's distance, `dist(s, t) −
+//! w(s, u)`, is carried forward as the next head's `dist(·, t)`. One
+//! backbone hop therefore costs one pass over `L(u)` per neighbor
+//! scanned, and the whole route is walked in one call.
 //!
 //! # Why repair is possible at all
 //!
@@ -67,8 +78,9 @@
 //! recomputing it (the order reads only the link *adjacency*, so
 //! weight-only churn always takes the cheap path).
 
-use super::inter::{CsrView, InterScratch, FAR, NO_HOP};
+use super::inter::{CsrView, InterScratch, FAR};
 use adhoc_graph::par;
+use std::cell::{RefCell, RefMut};
 
 /// Dirty-hub fraction above which `HubIndex::repair` declines and
 /// the caller rebuilds from scratch — same 50% knee as the label
@@ -336,7 +348,9 @@ impl HubIndex {
 
     /// Exact backbone distance between heads `u` and `v` ([`FAR`] when
     /// the backbone does not connect them): a two-pointer merge of the
-    /// two label rows over their common hubs.
+    /// two label rows over their common hubs. The test oracle for the
+    /// scattered passes [`Self::walk`] serves from.
+    #[cfg(test)]
     pub(crate) fn dist(&self, u: usize, v: usize) -> u32 {
         if u == v {
             return 0;
@@ -359,29 +373,92 @@ impl HubIndex {
         best
     }
 
-    /// The canonical first hop from `s` toward `t`: the smallest-slot
-    /// neighbor of `s` beginning a shortest route. Because label
-    /// distances are exact and the CSR row is slot-ascending, this is
-    /// bit-identical to the dense table's answer.
-    pub(crate) fn next_hop(&self, s: usize, t: usize, csr: CsrView<'_>) -> u32 {
+    /// Walks the canonical head route `s ⇝ t`, handing `hop` the CSR
+    /// index (into `csr.to` / `csr.hops`) of each backbone link taken,
+    /// in route order. Returns `false`, before any hop, when the
+    /// backbone does not connect `s` and `t`.
+    ///
+    /// `L(t)` is scattered once into the thread's hub-indexed array
+    /// (see the module docs); at each head the first hop is the
+    /// smallest-slot neighbor `u` whose pass over `L(u)` finds a sum
+    /// equal to `dist(s, t) − w(s, u)`, and that bound becomes the
+    /// next head's distance. Because label distances are exact and the
+    /// CSR row is slot-ascending, every hop is bit-identical to the
+    /// dense table's. `hop` must not serve a hub query itself.
+    ///
+    /// # Panics
+    /// In every build, when a reachable target has no first-hop
+    /// witness at some head — the labels are no longer exact
+    /// distances. The scattered entries are reset while unwinding, so
+    /// a caught panic leaves the thread's next query correct.
+    pub(crate) fn walk(
+        &self,
+        s: usize,
+        t: usize,
+        csr: CsrView<'_>,
+        mut hop: impl FnMut(usize),
+    ) -> bool {
         if s == t {
-            return s as u32;
+            return true;
         }
-        let dt = self.dist(s, t);
-        if dt == FAR {
-            return NO_HOP;
-        }
-        for (u, w) in csr.row(s) {
-            if w > dt {
-                continue;
+        SCATTER.with(|cell| {
+            let (lo, hi) = self.row(t);
+            let mut target = Scattered {
+                dist: cell.borrow_mut(),
+                hubs: &self.label_hub[lo..hi],
+            };
+            if target.dist.len() < self.h {
+                target.dist.resize(self.h, FAR);
             }
-            let du = self.dist(u as usize, t);
-            if du != FAR && w + du == dt {
-                return u;
+            for (&c, &d) in self.label_hub[lo..hi].iter().zip(&self.label_dist[lo..hi]) {
+                target.dist[c as usize] = d;
             }
-        }
-        debug_assert!(false, "reachable target must have a first-hop witness");
-        NO_HOP
+            let to_t = &target.dist[..];
+            let (lo, hi) = self.row(s);
+            let mut d = self.label_hub[lo..hi]
+                .iter()
+                .zip(&self.label_dist[lo..hi])
+                .map(|(&c, &d)| d.saturating_add(to_t[c as usize]))
+                .min()
+                .unwrap_or(FAR);
+            if d == FAR {
+                return false;
+            }
+            // The head just left sits at `d + w` from `t`, never at
+            // `d − w`, so its label is not scanned.
+            let (mut at, mut came_from) = (s, u32::MAX);
+            while at != t {
+                let (lo, hi) = (csr.off[at] as usize, csr.off[at + 1] as usize);
+                let link = (lo..hi)
+                    .find(|&i| {
+                        let (u, w) = (csr.to[i], csr.hops[i]);
+                        u != came_from && w <= d && self.reaches(u as usize, d - w, to_t)
+                    })
+                    .unwrap_or_else(|| {
+                        panic!(
+                            "hub index broken: no first hop from head {at} toward head {t} \
+                             at dist {d} (route from head {s})"
+                        )
+                    });
+                hop(link);
+                d -= csr.hops[link];
+                came_from = at as u32;
+                at = csr.to[link] as usize;
+            }
+            true
+        })
+    }
+
+    /// Whether some hub of `L(u)` gives `d_c(u) + d_c(t) = bound`, with
+    /// `to_t` holding `L(t)` scattered. Callers pass `bound = dist(s, t)
+    /// − w(s, u)`, which no sum can undercut, so the first equal sum
+    /// settles the pass.
+    fn reaches(&self, u: usize, bound: u32, to_t: &[u32]) -> bool {
+        let (lo, hi) = self.row(u);
+        self.label_hub[lo..hi]
+            .iter()
+            .zip(&self.label_dist[lo..hi])
+            .any(|(&c, &d)| d <= bound && to_t[c as usize] == bound - d)
     }
 
     /// Incremental repair after the backbone changed: `changed` holds
@@ -510,9 +587,30 @@ impl HubIndex {
     }
 }
 
-/// One rank-restricted sweep from hub `c`, appending its `(node, hub,
-/// dist)` entries: every reached head ranking below `c`, plus the zero
-/// self-entry.
+thread_local! {
+    /// Hub-indexed scatter of the current query target's label:
+    /// `d_c(t)` at every hub `c` of `L(t)`, [`FAR`] elsewhere. Grows to
+    /// the largest `h` served on the thread; [`Scattered`] resets it.
+    static SCATTER: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `L(t)` scattered into the thread's [`SCATTER`] array for one walk.
+/// Dropping it — on return or while unwinding — writes [`FAR`] back
+/// over exactly `L(t)`'s hubs, so the reset costs `O(|L(t)|)`, not
+/// `O(h)`.
+struct Scattered<'a> {
+    dist: RefMut<'a, Vec<u32>>,
+    hubs: &'a [u32],
+}
+
+impl Drop for Scattered<'_> {
+    fn drop(&mut self) {
+        for &c in self.hubs {
+            self.dist[c as usize] = FAR;
+        }
+    }
+}
+
 /// Sweeps every hub in `hubs` and returns the combined entry list,
 /// sorted by `(node, hub)` — ready for [`HubIndex::fill_arena`] or the
 /// repair splice. At 1 worker (or a single hub) the caller's warm
@@ -551,6 +649,9 @@ fn sweep_hubs(
     entries
 }
 
+/// One rank-restricted sweep from hub `c`, appending its `(node, hub,
+/// dist)` entries: every reached head ranking below `c`, plus the zero
+/// self-entry.
 fn sweep_hub(
     csr: CsrView<'_>,
     c: u32,
@@ -786,8 +887,89 @@ mod tests {
         let hub = HubIndex::build(bb.csr(), &mut InterScratch::new());
         assert_eq!(hub.dist(0, 1), 3);
         assert_eq!(hub.dist(0, 2), FAR);
-        assert_eq!(hub.next_hop(0, 2, bb.csr()), NO_HOP);
-        assert_eq!(hub.next_hop(2, 2, bb.csr()), 2);
+        assert_eq!(walk_route(&hub, &bb, 0, 2), None);
+        assert_eq!(walk_route(&hub, &bb, 2, 2), Some(vec![2]));
+        assert_eq!(walk_route(&hub, &bb, 0, 1), Some(vec![0, 1]));
+    }
+
+    /// The heads [`HubIndex::walk`] visits from `s` to `t` (`None` when
+    /// it reports the pair unconnected).
+    fn walk_route(hub: &HubIndex, bb: &Backbone, s: usize, t: usize) -> Option<Vec<u32>> {
+        let mut route = vec![s as u32];
+        let csr = bb.csr();
+        hub.walk(s, t, csr, |link| route.push(csr.to[link]))
+            .then_some(route)
+    }
+
+    /// The canonical route read off the definition: from each head,
+    /// the smallest-slot neighbor on a shortest route to `t`.
+    fn oracle_route(bb: &Backbone, s: usize, t: usize) -> Option<Vec<u32>> {
+        let to_t = oracle_dist(bb, t);
+        if to_t[s] == FAR {
+            return None;
+        }
+        let mut route = vec![s as u32];
+        let mut at = s;
+        while at != t {
+            let (u, _) = bb
+                .csr()
+                .row(at)
+                .find(|&(u, w)| to_t[u as usize] != FAR && w + to_t[u as usize] == to_t[at])
+                .expect("a reachable target has a first hop");
+            route.push(u);
+            at = u as usize;
+        }
+        Some(route)
+    }
+
+    /// The path `0 - 1 - 2` with its index, and the same index with
+    /// one entry of `L(0)` lowered so `dist(0, 2)` reads 1 instead of 2.
+    fn path_and_broken_index() -> (Backbone, HubIndex) {
+        let bb = Backbone::from_adj(vec![vec![(1, 1)], vec![(0, 1), (2, 1)], vec![(1, 1)]]);
+        let mut hub = HubIndex::build(bb.csr(), &mut InterScratch::new());
+        let (lo, hi) = hub.row(0);
+        let e = (lo..hi)
+            .find(|&i| hub.label_hub[i] == 1)
+            .expect("the middle head is a hub of both ends");
+        assert_eq!(hub.label_dist[e], 1);
+        hub.label_dist[e] = 0;
+        (bb, hub)
+    }
+
+    #[test]
+    #[should_panic(expected = "hub index broken: no first hop from head 0 toward head 2 at dist 1")]
+    fn broken_label_panics_naming_the_query() {
+        let (bb, hub) = path_and_broken_index();
+        hub.walk(0, 2, bb.csr(), |_| {});
+    }
+
+    /// A panic out of one walk must not leave its scattered target
+    /// behind for the next query on the same thread.
+    #[test]
+    fn query_after_caught_panic_is_correct() {
+        let (path, broken) = path_and_broken_index();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            broken.walk(0, 2, path.csr(), |_| {})
+        }));
+        assert!(caught.is_err(), "the broken index must panic");
+        SCATTER.with(|cell| {
+            assert!(
+                cell.borrow().iter().all(|&d| d == FAR),
+                "the panic left L(2) scattered"
+            );
+        });
+        // Sources from head 2 down: a stale `d_2(2) = 0` would fake a
+        // zero distance from head 2 on the very next query.
+        let fixed = HubIndex::build(path.csr(), &mut InterScratch::new());
+        for s in (0..3).rev() {
+            for t in 0..3 {
+                assert_eq!(
+                    walk_route(&fixed, &path, s, t),
+                    oracle_route(&path, s, t),
+                    "{s} -> {t}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,15 +22,17 @@
 //! bit-identically: the dense table derives it per source with one
 //! Dijkstra plus a settled-order DP (the first hops of `s ⇝ t` are the
 //! union over shortest predecessors `p` of `t` of the first hops of
-//! `s ⇝ p`, so the minimum propagates), while the hub index answers
-//! `dist(·, t)` queries by label merge and scans `s`'s CSR row — which
+//! `s ⇝ p`, so the minimum propagates), while the hub index scatters
+//! the target's label once per query, answers each `dist(·, t)` with
+//! one pass over a neighbor's label, and scans `s`'s CSR row — which
 //! is stored in ascending slot order — for the first qualifying
 //! neighbor. Every consumer (the compiled plan, the legacy per-query
 //! router, incremental repairs versus full recompiles) therefore
 //! agrees on every route by construction.
 //!
-//! Queries that *walk* (`s ← next_hop(s, t)` until `s = t`) terminate
-//! and realize a shortest backbone route for any mix of sources: each
+//! Queries *walk* (`s ← next_hop(s, t)` until `s = t`, one
+//! `InterTable::walk` call per query); the walk terminates and
+//! realizes a shortest backbone route for any mix of sources: each
 //! step moves to a node strictly closer to `t`.
 
 use super::hub::HubIndex;
@@ -75,6 +77,17 @@ impl<'a> CsrView<'a> {
     /// `s`'s backbone degree.
     pub fn degree(&self, s: usize) -> usize {
         (self.off[s + 1] - self.off[s]) as usize
+    }
+
+    /// CSR index of the link `s → t`.
+    ///
+    /// # Panics
+    /// If the backbone has no such link.
+    pub fn link(&self, s: usize, t: u32) -> usize {
+        let lo = self.off[s] as usize;
+        lo + self.to[lo..self.off[s + 1] as usize]
+            .binary_search(&t)
+            .unwrap_or_else(|_| panic!("no backbone link {s} -> {t}"))
     }
 }
 
@@ -319,8 +332,10 @@ pub enum InterTable {
     /// Row-major `h × h` first-hop matrix — `O(1)` lookups, `O(h²)`
     /// memory, full recompute on any backbone weight change.
     Dense { h: usize, next_hop: Vec<u32> },
-    /// Hub-label (2-level landmark) index — `O(label merge · degree)`
-    /// lookups, empirically sub-quadratic memory, dirty-hub repair.
+    /// Hub-label (2-level landmark) index — per hop, one pass over a
+    /// neighbor's label per neighbor scanned (the target's label is
+    /// scattered once per query), empirically sub-quadratic memory,
+    /// dirty-hub repair.
     Hub(HubIndex),
 }
 
@@ -352,13 +367,35 @@ impl InterTable {
         }
     }
 
-    /// The canonical first hop from `s` toward `t` ([`NO_HOP`] when the
-    /// backbone does not connect them; `s` itself for `t == s`).
+    /// Walks the canonical head route `s ⇝ t` (repeated canonical
+    /// first hops), handing `hop` the CSR index (into `csr.to` /
+    /// `csr.hops`) of each backbone link taken, in route order.
+    /// Returns `false` when the backbone does not connect `s` and `t`;
+    /// `s == t` takes no hop. The dense layout looks each hop up in its
+    /// table; the hub layout serves the whole route from one scatter of
+    /// the target's label ([`HubIndex::walk`]).
     #[inline]
-    pub(crate) fn next_hop(&self, s: usize, t: usize, csr: CsrView<'_>) -> u32 {
+    pub(crate) fn walk(
+        &self,
+        s: usize,
+        t: usize,
+        csr: CsrView<'_>,
+        mut hop: impl FnMut(usize),
+    ) -> bool {
         match self {
-            InterTable::Dense { h, next_hop } => next_hop[s * h + t],
-            InterTable::Hub(hub) => hub.next_hop(s, t, csr),
+            InterTable::Dense { h, next_hop } => {
+                let mut at = s;
+                while at != t {
+                    let nh = next_hop[at * h + t];
+                    if nh == NO_HOP {
+                        return false;
+                    }
+                    hop(csr.link(at, nh));
+                    at = nh as usize;
+                }
+                true
+            }
+            InterTable::Hub(hub) => hub.walk(s, t, csr, hop),
         }
     }
 
@@ -514,9 +551,39 @@ mod tests {
         }
     }
 
-    /// The hub index must reproduce the dense rows **exactly** — the
-    /// bit-identity the route-equivalence suites rest on — including
-    /// across reused scratch.
+    /// The links `table` walks from `s` to `t` (`None` when it reports
+    /// the pair unconnected).
+    fn walk_links(table: &InterTable, csr: CsrView<'_>, s: usize, t: usize) -> Option<Vec<usize>> {
+        let mut links = Vec::new();
+        table.walk(s, t, csr, |l| links.push(l)).then_some(links)
+    }
+
+    /// Every pair's walk on both layouts: equal link for link.
+    fn assert_layouts_agree(adj: &[Vec<(u32, u32)>], scratch: &mut InterScratch, what: &str) {
+        let h = adj.len();
+        let (off, to, hops) = to_csr(adj);
+        let csr = CsrView {
+            off: &off,
+            to: &to,
+            hops: &hops,
+        };
+        let dense = InterTable::build(InterMode::Dense, csr, scratch);
+        let hub = InterTable::build(InterMode::Hub, csr, scratch);
+        for s in 0..h {
+            for t in 0..h {
+                assert_eq!(
+                    walk_links(&dense, csr, s, t),
+                    walk_links(&hub, csr, s, t),
+                    "{what}: walks diverged at {s} -> {t}"
+                );
+            }
+        }
+    }
+
+    /// The hub index must walk the dense table's routes **exactly** —
+    /// the bit-identity the route-equivalence suites rest on —
+    /// including across reused scratch, and on a unit-weight grid,
+    /// where nearly every hop breaks a tie between equal routes.
     #[test]
     fn hub_table_matches_dense_table() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -525,24 +592,19 @@ mod tests {
         for round in 0..25 {
             let h = rng.gen_range(2..20usize);
             let adj = random_adj(&mut rng, h, 0.3);
-            let (off, to, hops) = to_csr(&adj);
-            let csr = CsrView {
-                off: &off,
-                to: &to,
-                hops: &hops,
-            };
-            let dense = InterTable::build(InterMode::Dense, csr, &mut scratch);
-            let hub = InterTable::build(InterMode::Hub, csr, &mut scratch);
-            for s in 0..h {
-                for t in 0..h {
-                    assert_eq!(
-                        dense.next_hop(s, t, csr),
-                        hub.next_hop(s, t, csr),
-                        "round {round}: first hop diverged at {s} -> {t}"
-                    );
+            assert_layouts_agree(&adj, &mut scratch, &format!("round {round}"));
+        }
+        let side = 12u32;
+        let mut grid: Vec<Vec<(u32, u32)>> = vec![Vec::new(); (side * side) as usize];
+        for v in 0..side * side {
+            for u in [v + 1, v + side] {
+                if u < side * side && (u == v + side || u % side != 0) {
+                    grid[v as usize].push((u, 1));
+                    grid[u as usize].push((v, 1));
                 }
             }
         }
+        assert_layouts_agree(&grid, &mut scratch, "grid");
     }
 
     #[test]
@@ -560,6 +622,12 @@ mod tests {
         assert_eq!(table[2], NO_HOP); // 0 -> 2
         assert_eq!(table[6], NO_HOP); // 2 -> 0
         assert_eq!(table[4], 1); // 1 -> 1 (self)
+        for mode in [InterMode::Dense, InterMode::Hub] {
+            let inter = InterTable::build(mode, csr, &mut scratch);
+            assert_eq!(walk_links(&inter, csr, 0, 2), None, "{mode:?}");
+            assert_eq!(walk_links(&inter, csr, 2, 0), None, "{mode:?}");
+            assert_eq!(walk_links(&inter, csr, 0, 1), Some(vec![0]), "{mode:?}");
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! └─ inter — inter-head first hops, one of two layouts
 //!      Dense: h × h first-hop matrix (O(1) lookups, O(h²) bytes)
 //!      Hub:   hub-label arena — per-head (hub, dist) rows, CSR-packed
-//!             (label-merge lookups, empirically sub-quadratic bytes)
+//!             (target label scattered once per query, one label pass
+//!             per neighbor scanned; empirically sub-quadratic bytes)
 //! ```
 //!
 //! [`InterMode::Auto`] (the [`RoutePlan::compile`] default) picks the
@@ -26,8 +27,8 @@
 //! (see the crate-private `inter` module), so the choice never changes a single route.
 //!
 //! A query `u ⇝ v` copies `u`'s precompiled ascent, crosses the
-//! backbone by `next_hop` lookups (appending precomputed oriented path
-//! slices), appends `v`'s ascent reversed, and applies the
+//! backbone in one inter-head walk (appending precomputed oriented
+//! path slices hop by hop), appends `v`'s ascent reversed, and applies the
 //! first-pass-through-`v` shortcut — `O(route length)` work, **zero
 //! BFS, zero allocation** (into a caller-reused buffer), and no access
 //! to the graph or the label store at serve time. Ascents are stored
@@ -50,9 +51,7 @@
 //! the dense matrix, but only dirty-hub re-sweeps for the hub layout.
 
 use crate::clustering::Clustering;
-use crate::routing::inter::{
-    self, CsrView, InterMode, InterRepair, InterScratch, InterTable, NO_HOP,
-};
+use crate::routing::inter::{self, CsrView, InterMode, InterRepair, InterScratch, InterTable};
 use crate::virtual_graph::LinkRef;
 use adhoc_graph::bfs::{self, Adjacency, DistLabels, UNREACHED};
 use adhoc_graph::delta::TopologyDelta;
@@ -667,24 +666,16 @@ impl RoutePlan {
         }
         // Ascend: u's precompiled canonical path to its head.
         out.extend_from_slice(self.ascent(u));
-        // Across: inter-head table lookups, appending oriented paths.
-        let csr = self.csr();
-        let mut s = su as usize;
-        let t = sv as usize;
-        while s != t {
-            let nh = self.inter.next_hop(s, t, csr);
-            if nh == NO_HOP {
-                return None;
-            }
-            let (lo, hi) = (self.link_off[s] as usize, self.link_off[s + 1] as usize);
-            let i = lo
-                + self.link_to[lo..hi]
-                    .binary_search(&nh)
-                    .expect("next-hop uses existing links");
-            let off = self.link_path_off[i] as usize;
-            let len = self.link_path_len[i] as usize;
-            out.extend_from_slice(&self.path_arena[off + 1..off + len]);
-            s = nh as usize;
+        // Across: one inter-head walk, appending each link's oriented path.
+        let reached = self
+            .inter
+            .walk(su as usize, sv as usize, self.csr(), |link| {
+                let off = self.link_path_off[link] as usize;
+                let len = self.link_path_len[link] as usize;
+                out.extend_from_slice(&self.path_arena[off + 1..off + len]);
+            });
+        if !reached {
+            return None;
         }
         // Descend: v's ascent, reversed (its head is already at the
         // walk's tail).

@@ -6,7 +6,10 @@
 //! incremental repair must be a pure optimization of recompiling:
 //! through `apply_delta` chains with weight changes and head-set
 //! changes, the repaired plan stays **equal** (structural `Eq`, hub
-//! arena included) to one compiled from scratch.
+//! arena included) to one compiled from scratch. A mid-size network
+//! (about 2 000 nodes) pins the same identity where hub labels span
+//! several levels: uniform pairs, a one-weight backbone full of ties,
+//! two plans served alternately on one thread, and a two-worker batch.
 
 use adhoc_cluster::clustering::{self, MemberPolicy};
 use adhoc_cluster::pipeline::{self, Algorithm, EvalScratch};
@@ -17,9 +20,11 @@ use adhoc_cluster::routing::{
 };
 use adhoc_graph::gen::{self, GeometricConfig};
 use adhoc_graph::graph::NodeId;
+use adhoc_cluster::virtual_graph::LinkRef;
 use adhoc_graph::labels::LabelMode;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::sync::OnceLock;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -210,4 +215,148 @@ proptest! {
         let served_hub = QueryEngine::with_workers(&hub, 4).route_many(&pairs);
         prop_assert_eq!(&served_dense, &served_hub);
     }
+}
+
+/// A hub plan and its dense twin over one backbone link set.
+struct Twins {
+    n: usize,
+    heads: usize,
+    hub: RoutePlan,
+    dense: RoutePlan,
+}
+
+impl Twins {
+    /// Clusters a geometric network of `n` nodes (k = 2) and compiles
+    /// both layouts over the backbone `pick` chooses from its
+    /// evaluation.
+    fn compile(
+        n: usize,
+        seed: u64,
+        pick: impl for<'a> Fn(&'a pipeline::EvaluationOutput) -> Vec<LinkRef<'a>>,
+    ) -> Twins {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let side = 100.0 * (n as f64 / 200.0).sqrt();
+        let net = gen::geometric(&GeometricConfig::at_scale(n, side, 6.0), &mut rng);
+        let c = clustering::cluster(&net.graph, 2, &LowestId, MemberPolicy::IdBased);
+        let mut scratch = EvalScratch::with_mode(LabelMode::Sparse);
+        let eval = pipeline::run_all_with(&net.graph, &c, &mut scratch);
+        let links = pick(&eval);
+        let compile = |mode| {
+            RoutePlan::compile_with(
+                &net.graph,
+                &c,
+                scratch.labels(),
+                links.iter().copied(),
+                mode,
+            )
+        };
+        Twins {
+            n,
+            heads: c.heads.len(),
+            hub: compile(InterMode::Hub),
+            dense: compile(InterMode::Dense),
+        }
+    }
+
+    fn pairs(&self, count: usize, seed: u64) -> Vec<(NodeId, NodeId)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = self.n as u32;
+        (0..count)
+            .map(|_| (NodeId(rng.gen_range(0..n)), NodeId(rng.gen_range(0..n))))
+            .collect()
+    }
+
+    /// Serves `u ⇝ v` on both layouts and requires the same answer,
+    /// node for node; returns whether the pair was routable.
+    fn check(
+        &self,
+        u: NodeId,
+        v: NodeId,
+        hub_walk: &mut Vec<NodeId>,
+        dense_walk: &mut Vec<NodeId>,
+    ) -> bool {
+        let a = self.hub.route_into(u, v, hub_walk);
+        let b = self.dense.route_into(u, v, dense_walk);
+        assert_eq!(a, b, "{u:?} -> {v:?}: routability diverged");
+        if a.is_some() {
+            assert_eq!(hub_walk, dense_walk, "{u:?} -> {v:?}: walks diverged");
+        }
+        a.is_some()
+    }
+}
+
+/// About 2 000 nodes at k = 2 on the AC-LMST backbone: big enough for
+/// multi-level hub labels and long head routes, small enough for a
+/// debug build.
+fn mid_size() -> &'static Twins {
+    static TWINS: OnceLock<Twins> = OnceLock::new();
+    TWINS.get_or_init(|| Twins::compile(2000, 12, |e| e.selected_links(Algorithm::AcLmst)))
+}
+
+#[test]
+fn mid_size_hub_walks_match_dense_walks() {
+    let twins = mid_size();
+    assert!(
+        twins.heads > 150,
+        "expected a multi-hundred-head backbone, got {}",
+        twins.heads
+    );
+    let (mut hw, mut dw) = (Vec::new(), Vec::new());
+    let mut routed = 0usize;
+    for (u, v) in twins.pairs(3000, 1) {
+        routed += usize::from(twins.check(u, v, &mut hw, &mut dw));
+    }
+    assert!(routed > 1500, "too few routable pairs to compare: {routed}");
+}
+
+/// Every backbone link of one weight: each head route has many
+/// equal-length alternatives, so the canonical tie break and the
+/// early exit of each label pass decide nearly every hop.
+#[test]
+fn equal_weight_backbone_walks_match() {
+    let twins = Twins::compile(2000, 12, |e| {
+        let links: Vec<LinkRef<'_>> = e.nc_graph.links().collect();
+        let mut count = [0usize; 8];
+        for l in &links {
+            count[l.hops() as usize] += 1;
+        }
+        let modal = (0..count.len()).max_by_key(|&w| count[w]).unwrap() as u32;
+        links.into_iter().filter(|l| l.hops() == modal).collect()
+    });
+    let (mut hw, mut dw) = (Vec::new(), Vec::new());
+    let mut routed = 0usize;
+    for (u, v) in twins.pairs(3000, 2) {
+        routed += usize::from(twins.check(u, v, &mut hw, &mut dw));
+    }
+    assert!(routed > 0, "the one-weight backbone routed nothing");
+}
+
+/// Queries alternating between plans of different head counts on one
+/// thread: each walk must leave the thread's scattered target clean
+/// for the other plan.
+#[test]
+fn alternating_plans_share_one_thread_cleanly() {
+    let big = mid_size();
+    let small = Twins::compile(500, 13, |e| e.selected_links(Algorithm::AcLmst));
+    assert_ne!(big.heads, small.heads);
+    let (mut hw, mut dw) = (Vec::new(), Vec::new());
+    let big_pairs = big.pairs(1500, 3);
+    let small_pairs = small.pairs(1500, 4);
+    for (&(a, b), &(c, d)) in big_pairs.iter().zip(&small_pairs) {
+        big.check(a, b, &mut hw, &mut dw);
+        small.check(c, d, &mut hw, &mut dw);
+    }
+}
+
+/// Two workers answer a batch on the hub plan with the serial run's
+/// checksum, which is also the dense plan's.
+#[test]
+fn two_worker_batch_matches_serial() {
+    let twins = mid_size();
+    let pairs = twins.pairs(3000, 5);
+    let serial = QueryEngine::new(&twins.hub).route_many(&pairs);
+    let wide = QueryEngine::with_workers(&twins.hub, 2).route_many(&pairs);
+    assert_eq!(wide.checksum, serial.checksum);
+    assert_eq!(wide, serial);
+    assert_eq!(QueryEngine::new(&twins.dense).route_many(&pairs), serial);
 }

@@ -36,13 +36,22 @@ struct Args {
 }
 
 impl Args {
-    fn parse(raw: &[String]) -> Args {
+    /// Parses `raw` for subcommand `cmd`, which accepts exactly the
+    /// flags in `allowed`; any other `--name` dies with usage (exit 2).
+    fn parse(cmd: &str, raw: &[String], allowed: &[&str]) -> Args {
         let mut flags = BTreeMap::new();
         let mut bools = Vec::new();
         let mut i = 0;
         while i < raw.len() {
             let a = &raw[i];
             if let Some(name) = a.strip_prefix("--") {
+                let key = name.split_once('=').map_or(name, |(key, _)| key);
+                if !allowed.contains(&key) {
+                    die(&format!(
+                        "unknown flag --{key} for `khop {cmd}` (accepts --{})",
+                        allowed.join(", --")
+                    ));
+                }
                 if let Some((key, value)) = name.split_once('=') {
                     flags.insert(key.to_string(), value.to_string());
                     i += 1;
@@ -89,6 +98,8 @@ fn die(msg: &str) -> ! {
     eprintln!("            [--alg nc-mesh|ac-mesh|nc-lmst|ac-lmst|g-mst|all]");
     eprintln!("            [--labels dense|sparse|auto] [--inter dense|hub|auto]");
     eprintln!("            [--input FILE] [--out FILE] [--json] [--metrics[=FILE]]");
+    eprintln!("            [--budget B] [--verbose]");
+    eprintln!("       each command accepts only the flags it reads");
     exit(2)
 }
 
@@ -1100,23 +1111,59 @@ fn cmd_mac(args: &Args) {
     }
 }
 
+/// The flags [`obtain_graph`] reads.
+const GRAPH_FLAGS: [&str; 4] = ["input", "n", "d", "seed"];
+
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = raw.split_first() else {
         die("missing command");
     };
-    let args = Args::parse(rest);
-    match cmd.as_str() {
-        "gen" => cmd_gen(&args),
-        "run" => cmd_run(&args),
-        "dist" => cmd_dist(&args),
-        "info" => cmd_info(&args),
-        "exact" => cmd_exact(&args),
-        "maintain" => cmd_maintain(&args),
-        "churn" => cmd_churn(&args),
-        "route" => cmd_route(&args),
-        "resilience" => cmd_resilience(&args),
-        "mac" => cmd_mac(&args),
+    let with_graph = |extra: &[&'static str]| [&GRAPH_FLAGS[..], extra].concat();
+    let (command, allowed): (fn(&Args), Vec<&str>) = match cmd.as_str() {
+        "gen" => (cmd_gen, vec!["n", "d", "seed", "out"]),
+        "run" => (
+            cmd_run,
+            with_graph(&["k", "alg", "labels", "workers", "metrics", "json"]),
+        ),
+        "dist" => (cmd_dist, with_graph(&["k", "alg"])),
+        "info" => (cmd_info, with_graph(&[])),
+        "exact" => (cmd_exact, with_graph(&["k", "budget"])),
+        "maintain" => (
+            cmd_maintain,
+            vec!["n", "d", "k", "seed", "steps", "speed", "verbose"],
+        ),
+        "churn" => (
+            cmd_churn,
+            vec![
+                "n", "d", "k", "seed", "steps", "movers", "speed", "labels", "workers", "metrics",
+            ],
+        ),
+        "route" => (
+            cmd_route,
+            with_graph(&[
+                "k", "alg", "queries", "workers", "labels", "inter", "mix", "metrics", "json",
+            ]),
+        ),
+        "resilience" => (
+            cmd_resilience,
+            vec![
+                "n",
+                "d",
+                "k",
+                "seed",
+                "attack",
+                "fraction",
+                "pairs",
+                "repair-level",
+                "labels",
+                "workers",
+                "metrics",
+                "json",
+            ],
+        ),
+        "mac" => (cmd_mac, with_graph(&["k", "cw"])),
         other => die(&format!("unknown command {other}")),
-    }
+    };
+    command(&Args::parse(cmd, rest, &allowed));
 }

@@ -107,3 +107,21 @@ fn dist_rejects_gmst() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("centralized"));
 }
+
+#[test]
+fn unknown_flag_fails_with_usage() {
+    // `--nodes` is no flag of any subcommand; `--k` is one of `run`'s
+    // but not of `gen`'s.
+    for args in [
+        &["churn", "--nodes", "120", "--steps", "2"][..],
+        &["gen", "--n", "20", "--k", "2"][..],
+        &["run", "--n", "40", "--metric=m.json"][..],
+    ] {
+        let out = khop(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag --"), "{args:?}: {err}");
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
