@@ -475,7 +475,7 @@ fn repair_bench(n: usize, grid_n: usize, d: f64, k: u32, workers: usize, strict:
         "N={n}: the injected delta must change a backbone weight"
     );
     let dirty_hubs = match hub_report.inter {
-        InterRepair::HubRepaired { dirty_hubs } => dirty_hubs,
+        InterRepair::HubRepaired { dirty_hubs, .. } => dirty_hubs,
         other => {
             assert!(
                 !strict,

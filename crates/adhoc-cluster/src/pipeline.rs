@@ -413,8 +413,11 @@ pub fn run_all_with<G: Adjacency + Sync>(
 /// Shared tail of [`run_all_with`] and [`update_all`]: everything
 /// downstream of the NC virtual graph (AC restriction, the four
 /// localized selections, G-MST, CDS assembly). All inputs here live in
-/// head space, so this stage costs `O(h · local degree²)` — negligible
-/// next to the label sweeps and path walks that produced `nc_graph`.
+/// head space, but the stage is re-run whole on every reconcile, and
+/// it is not small: on the `perfbench` `mule-churn` workload (N = 20 000,
+/// D = 6, k = 2, a 2-core x86-64 host) it measures 18–20 ms per beacon
+/// (`pipeline.eval_tail_ns`), against about 2 ms for the label advance
+/// that produced `nc_graph`.
 fn eval_from_nc<G: Adjacency>(
     g: &G,
     clustering: &Clustering,
@@ -776,9 +779,9 @@ pub fn advance_labels_headset<G: Adjacency + Sync>(
 /// five-algorithm evaluation from labels already spliced to the new
 /// head set. The NC relation and virtual graphs are re-derived in full
 /// — a head-set change renumbers every slot, so the patched-row reuse
-/// of [`update_all_after`] does not apply — but that stage lives in
-/// head space and is cheap; the label arena itself was spliced, not
-/// rebuilt, which is where the sweeps live.
+/// of [`update_all_after`] does not apply. The label arena itself was
+/// spliced, not rebuilt; the evaluation tail that follows runs whole
+/// (18–20 ms per beacon on `mule-churn`, see `eval_from_nc`).
 ///
 /// # Panics
 /// Panics if the scratch labels do not match `clustering`'s head set.
@@ -824,7 +827,9 @@ pub fn update_all_after_headset<G: Adjacency>(
 ///    dirty head, copied otherwise
 ///    ([`VirtualGraph::from_labels_patched`]);
 /// 4. the head-space tail (AC restriction, selections, CDS) is shared
-///    verbatim with [`run_all_with`] and is cheap.
+///    verbatim with [`run_all_with`] and re-runs whole: 18–20 ms per
+///    beacon on the `mule-churn` workload, against about 2 ms for the
+///    label advance of step 1 (see `eval_from_nc`).
 ///
 /// When the dirty fraction crosses [`DIRTY_FRACTION_FALLBACK`], or the
 /// head set / node count changed, it falls back to a full rebuild.

@@ -57,28 +57,44 @@
 //! # Why repair is possible at all
 //!
 //! Pruning depends only on the **static rank order** — never on other
-//! hubs' labels — so each hub's entry set is a pure function of
-//! `(backbone, order)` and hubs can be re-swept independently without
-//! the cascades query-pruned labelings (PLL) suffer. A hub `c` can
-//! only be affected by a changed edge `(x, y)` if some affected
-//! restricted path crosses that edge, which forces `x` (or `y`) to be
-//! `c` itself or an interior/terminal head ranking below `c` — and in
-//! either case `x` holds an entry for `c` in the **old** labels (for
-//! additions, apply the argument to the first changed edge along the
-//! new path: its near endpoint is reached via old edges only). That
-//! yields the sound dirty test mirroring `HeadLabels::dirty_slots`:
+//! hubs' labels. Write `S_c` for the set of heads ranked after `c`: the
+//! sweep from `c` may pass through exactly `S_c` and records entries at
+//! exactly `S_c ∪ {c}`, so hub `c`'s entry set is a pure function of
+//! `(backbone, c, S_c)`, and hubs can be re-swept independently without
+//! the cascades query-pruned labelings (PLL) suffer. Two causes can
+//! change a hub's entries:
 //!
-//! > hub `c` is dirty ⟺ some changed-edge endpoint's old label row
-//! > contains `c`.
+//! - **An edge change.** A hub `c` can only be affected by a changed
+//!   edge `(x, y)` if some affected restricted path crosses that edge,
+//!   which forces `x` (or `y`) to be `c` itself or an interior/terminal
+//!   head ranking below `c` — and in either case `x` holds an entry for
+//!   `c` in the **old** labels (for additions, apply the argument to
+//!   the first changed edge along the new path: its near endpoint is
+//!   reached via old edges only). That yields the sound dirty test
+//!   mirroring `HeadLabels::dirty_slots`:
+//!
+//!   > hub `c` is dirty ⟺ some changed-edge endpoint's old label row
+//!   > contains `c`.
+//!
+//!   The argument needs only `S_c` to be the same before and after, not
+//!   the whole order.
+//! - **An order change.** The order reads the link adjacency, so
+//!   additions and removals can move it (weight-only churn never does).
+//!   `S_c` survives exactly when `c` sits at the same position `r` in
+//!   both orders and the sets of the first `r` and the first `r + 1`
+//!   heads agree between them — one `O(h)` scan over both orders
+//!   (`mark_lower_set_changes`). A reorder confined to one stretch of
+//!   positions — a leaf part's degree ties, say — dirties only the hubs
+//!   in that stretch; one that resizes a coarse separator shifts every
+//!   later position and usually crosses the rebuild fallback below.
 //!
 //! Clean hubs' entry sets are untouched, so re-sweeping exactly the
-//! dirty hubs and splicing rows segment-wise reproduces a fresh build
-//! **structurally** (`PartialEq`) — provided the importance order
-//! itself survived, which `HubIndex::repair` verifies by
-//! recomputing it (the order reads only the link *adjacency*, so
-//! weight-only churn always takes the cheap path).
+//! dirty hubs under the new order and splicing rows segment-wise
+//! reproduces a fresh build **structurally** (`PartialEq`). When half
+//! the hubs or more are dirty, repair rebuilds instead, under the order
+//! it already computed.
 
-use super::inter::{CsrView, InterScratch, FAR};
+use super::inter::{CsrView, InterRepair, InterScratch, FAR};
 use adhoc_graph::par;
 use std::cell::{RefCell, RefMut};
 
@@ -143,9 +159,9 @@ const SEPARATOR_LEAF: usize = 8;
 ///    breadth-first so sibling separators share a coarseness tier.
 ///
 /// The decomposition reads only the **link adjacency**, never the
-/// weights, so weight-only churn recomputes the identical order and
-/// [`HubIndex::repair`] keeps its cheap path (the order check mirrors
-/// how degree-based ranks survived weight changes).
+/// weights, so weight-only churn recomputes the identical order; after
+/// an adjacency change [`HubIndex::repair_with`] re-sweeps only the
+/// hubs whose lower set the new order moved.
 fn hub_order(csr: CsrView<'_>) -> Vec<u32> {
     const UNSEEN: u32 = u32::MAX;
     const DONE: u32 = u32::MAX - 1;
@@ -290,56 +306,42 @@ impl HubIndex {
     }
 
     /// Builds the index for `csr`: one rank-restricted sweep per head,
-    /// most important first, entries packed into the CSR arena.
+    /// packed into the CSR arena.
     ///
-    /// Over a worker pool: hubs are chunked in rank
-    /// order and swept with per-worker scratch. Each hub's entry set is
-    /// a pure function of `(backbone, order)` — the same independence
-    /// that makes repair possible — and the entry sort key `(node, hub)`
-    /// is unique per entry, so the normalizing `sort_unstable` makes
-    /// the packed arena bit-identical for any worker count.
+    /// Over a worker pool: hubs are chunked in slot order and swept
+    /// with per-worker scratch. Each hub's entry set is a pure function
+    /// of `(backbone, order)` — the same independence that makes repair
+    /// possible — and the fragments come back in chunk order, so the
+    /// entries reach [`Rows::scatter`] hub-ascending for any worker
+    /// count and the arena is bit-identical to the serial build.
     pub(crate) fn build_with(
         csr: CsrView<'_>,
         scratch: &mut InterScratch,
         workers: usize,
     ) -> HubIndex {
+        HubIndex::build_ordered(csr, hub_order(csr), scratch, workers)
+    }
+
+    /// [`Self::build_with`] under an importance order already computed
+    /// for `csr` — the repair fallback passes the order it checked.
+    fn build_ordered(
+        csr: CsrView<'_>,
+        order: Vec<u32>,
+        scratch: &mut InterScratch,
+        workers: usize,
+    ) -> HubIndex {
         let h = csr.head_count();
-        let order = hub_order(csr);
-        let mut rank = vec![0u32; h];
-        for (r, &slot) in order.iter().enumerate() {
-            rank[slot as usize] = r as u32;
-        }
-        let entries = sweep_hubs(csr, &order, &rank, scratch, workers);
-        let mut index = HubIndex {
+        let rank = rank_of(&order);
+        let all: Vec<u32> = (0..h as u32).collect();
+        let rows = sweep_hubs(csr, &all, &rank, scratch, workers);
+        HubIndex {
             h,
             order,
             rank,
-            label_off: Vec::new(),
-            label_hub: Vec::new(),
-            label_dist: Vec::new(),
-        };
-        index.fill_arena(&entries);
-        index
-    }
-
-    fn fill_arena(&mut self, entries: &[(u32, u32, u32)]) {
-        self.label_off.clear();
-        self.label_off.reserve(self.h + 1);
-        self.label_hub.clear();
-        self.label_hub.reserve(entries.len());
-        self.label_dist.clear();
-        self.label_dist.reserve(entries.len());
-        self.label_off.push(0);
-        let mut i = 0usize;
-        for v in 0..self.h as u32 {
-            while i < entries.len() && entries[i].0 == v {
-                self.label_hub.push(entries[i].1);
-                self.label_dist.push(entries[i].2);
-                i += 1;
-            }
-            self.label_off.push(self.label_hub.len() as u32);
+            label_off: rows.off,
+            label_hub: rows.hub,
+            label_dist: rows.dist,
         }
-        debug_assert_eq!(i, entries.len());
     }
 
     fn row(&self, v: usize) -> (usize, usize) {
@@ -461,14 +463,9 @@ impl HubIndex {
             .any(|(&c, &d)| d <= bound && to_t[c as usize] == bound - d)
     }
 
-    /// Incremental repair after the backbone changed: `changed` holds
-    /// the head slots whose CSR rows differ (both endpoints of every
-    /// added/removed/re-weighted link) and `csr` is the new backbone.
-    ///
-    /// Returns `Some(dirty hubs re-swept)` on success. Returns `None`
-    /// — caller must rebuild — when the importance order itself
-    /// changed (repair could no longer equal a fresh build) or the
-    /// dirty fraction crosses [`HUB_DIRTY_FRACTION_FALLBACK`].
+    /// Serial [`Self::repair_with`], reduced to the test's question:
+    /// `Some(dirty hubs re-swept)` when the index was repaired in
+    /// place, `None` when it declined and rebuilt from scratch.
     #[cfg(test)]
     pub(crate) fn repair(
         &mut self,
@@ -476,93 +473,102 @@ impl HubIndex {
         csr: CsrView<'_>,
         scratch: &mut InterScratch,
     ) -> Option<usize> {
-        self.repair_with(changed, csr, scratch, 1)
+        match self.repair_with(changed, csr, scratch, 1) {
+            InterRepair::HubRepaired { dirty_hubs, .. } => Some(dirty_hubs),
+            _ => None,
+        }
     }
 
-    /// As the serial repair, but the dirty-hub re-sweeps fan out across
-    /// `workers` (see [`Self::build_with`] for why the result is
-    /// bit-identical); the dirty test, order check, and segment-wise
-    /// splice stay serial.
+    /// Incremental repair after the backbone changed: `changed` holds
+    /// the head slots whose CSR rows differ (both endpoints of every
+    /// added/removed/re-weighted link) and `csr` is the new backbone.
+    ///
+    /// The new importance order is computed once. A hub is dirty when a
+    /// changed-edge endpoint's old row holds it, or when the order
+    /// change moved its lower set `S_c` (see the module docs). Dirty
+    /// hubs are re-swept under the new order — fanned out across
+    /// `workers`, bit-identical for any count (see
+    /// [`Self::build_with`]) — and spliced row by row; the result is
+    /// [`InterRepair::HubRepaired`]. When the dirty fraction reaches
+    /// [`HUB_DIRTY_FRACTION_FALLBACK`] the index is rebuilt under the
+    /// order already computed: [`InterRepair::HubRebuilt`]. Either way
+    /// it equals a fresh build.
     pub(crate) fn repair_with(
         &mut self,
         changed: &[u32],
         csr: CsrView<'_>,
         scratch: &mut InterScratch,
         workers: usize,
-    ) -> Option<usize> {
+    ) -> InterRepair {
         debug_assert_eq!(self.h, csr.head_count());
-        if hub_order(csr) != self.order {
-            return None;
-        }
+        let order = hub_order(csr);
+        let order_changed = order != self.order;
         let mut dirty = vec![false; self.h];
-        let mut dirty_count = 0usize;
         for &x in changed {
             let (lo, hi) = self.row(x as usize);
             for &c in &self.label_hub[lo..hi] {
-                if !dirty[c as usize] {
-                    dirty[c as usize] = true;
-                    dirty_count += 1;
-                }
+                dirty[c as usize] = true;
             }
         }
-        if dirty_count == 0 {
-            return Some(0);
+        if order_changed {
+            mark_lower_set_changes(&self.order, &order, &mut dirty);
         }
-        if dirty_count as f64 >= HUB_DIRTY_FRACTION_FALLBACK * self.h as f64 {
-            return None;
+        let dirty_hubs: Vec<u32> = (0..self.h as u32).filter(|&c| dirty[c as usize]).collect();
+        if dirty_hubs.len() as f64 >= HUB_DIRTY_FRACTION_FALLBACK * self.h as f64 {
+            *self = HubIndex::build_ordered(csr, order, scratch, workers);
+            return InterRepair::HubRebuilt { order_changed };
         }
-        // Re-sweep exactly the dirty hubs against the new backbone.
-        let dirty_hubs: Vec<u32> = self
-            .order
-            .iter()
-            .copied()
-            .filter(|&c| dirty[c as usize])
-            .collect();
-        let fresh = sweep_hubs(csr, &dirty_hubs, &self.rank, scratch, workers);
-        // Segment-wise splice: per row, drop old dirty-hub entries and
-        // merge in the fresh ones (both sides hub-ascending), leaving
-        // clean entries byte-identical — the labels.rs clean-row-copy
-        // idiom.
+        if order_changed {
+            self.rank = rank_of(&order);
+            self.order = order;
+        }
+        if !dirty_hubs.is_empty() {
+            let fresh = sweep_hubs(csr, &dirty_hubs, &self.rank, scratch, workers);
+            self.splice(&dirty, &fresh);
+        }
+        InterRepair::HubRepaired {
+            dirty_hubs: dirty_hubs.len(),
+            order_changed,
+        }
+    }
+
+    /// Segment-wise splice: per row, drop the old entries of `dirty`
+    /// hubs and merge in `fresh`'s row (both sides hub-ascending),
+    /// leaving clean entries byte-identical — the labels.rs
+    /// clean-row-copy idiom.
+    fn splice(&mut self, dirty: &[bool], fresh: &Rows) {
         let mut off = Vec::with_capacity(self.h + 1);
         let mut hubs = Vec::with_capacity(self.label_hub.len());
         let mut dists = Vec::with_capacity(self.label_dist.len());
         off.push(0u32);
-        let mut fi = 0usize;
         for v in 0..self.h {
-            let (lo, hi) = self.row(v);
-            let mut oi = lo;
-            let fstart = fi;
-            while fi < fresh.len() && fresh[fi].0 as usize == v {
-                fi += 1;
-            }
-            let mut fj = fstart;
+            let (mut oi, hi) = self.row(v);
+            let (mut fi, fend) = (fresh.off[v] as usize, fresh.off[v + 1] as usize);
             loop {
                 while oi < hi && dirty[self.label_hub[oi] as usize] {
                     oi += 1;
                 }
-                let take_old = match (oi < hi, fj < fi) {
+                let take_old = match (oi < hi, fi < fend) {
                     (false, false) => break,
                     (true, false) => true,
                     (false, true) => false,
-                    (true, true) => self.label_hub[oi] < fresh[fj].1,
+                    (true, true) => self.label_hub[oi] < fresh.hub[fi],
                 };
                 if take_old {
                     hubs.push(self.label_hub[oi]);
                     dists.push(self.label_dist[oi]);
                     oi += 1;
                 } else {
-                    hubs.push(fresh[fj].1);
-                    dists.push(fresh[fj].2);
-                    fj += 1;
+                    hubs.push(fresh.hub[fi]);
+                    dists.push(fresh.dist[fi]);
+                    fi += 1;
                 }
             }
             off.push(hubs.len() as u32);
         }
-        debug_assert_eq!(fi, fresh.len());
         self.label_off = off;
         self.label_hub = hubs;
         self.label_dist = dists;
-        Some(dirty_count)
     }
 
     /// Number of heads the index covers.
@@ -611,61 +617,150 @@ impl Drop for Scattered<'_> {
     }
 }
 
-/// Sweeps every hub in `hubs` and returns the combined entry list,
-/// sorted by `(node, hub)` — ready for [`HubIndex::fill_arena`] or the
-/// repair splice. At 1 worker (or a single hub) the caller's warm
-/// scratch is reused inline; otherwise `hubs` is chunked across scoped
-/// workers, each with a fresh [`InterScratch`], and the fragments are
-/// concatenated in chunk order before the normalizing sort. Entry keys
-/// are unique per `(node, hub)` pair, so the sorted list — and the
-/// arena packed from it — is bit-identical for any worker count.
+/// `rank[slot]` = position of `slot` in `order`.
+fn rank_of(order: &[u32]) -> Vec<u32> {
+    let mut rank = vec![0u32; order.len()];
+    for (r, &slot) in order.iter().enumerate() {
+        rank[slot as usize] = r as u32;
+    }
+    rank
+}
+
+/// Marks every hub whose lower set `S_c` (the heads ranked after it)
+/// differs between the `old` and `new` orders. `S_c` survives exactly
+/// when `c` holds the same position `r` in both and the two orders'
+/// prefix sets agree at lengths `r` and `r + 1`; one pass keeps the
+/// count of heads in exactly one of the two prefixes, so the test
+/// costs `O(h)`.
+fn mark_lower_set_changes(old: &[u32], new: &[u32], dirty: &mut [bool]) {
+    let mut in_old = vec![false; old.len()];
+    let mut in_new = vec![false; new.len()];
+    let mut unmatched = 0usize;
+    let mut prefixes_agree = true;
+    for (&a, &b) in old.iter().zip(new) {
+        if in_new[a as usize] {
+            unmatched -= 1;
+        } else {
+            unmatched += 1;
+        }
+        in_old[a as usize] = true;
+        if in_old[b as usize] {
+            unmatched -= 1;
+        } else {
+            unmatched += 1;
+        }
+        in_new[b as usize] = true;
+        let agree_through = unmatched == 0;
+        if !(prefixes_agree && agree_through) {
+            dirty[a as usize] = true;
+            dirty[b as usize] = true;
+        }
+        prefixes_agree = agree_through;
+    }
+}
+
+/// Label rows in CSR form: row `v` is `hub[off[v]..off[v + 1]]` with the
+/// matching `dist`, hub-ascending.
+struct Rows {
+    off: Vec<u32>,
+    hub: Vec<u32>,
+    dist: Vec<u32>,
+}
+
+/// One worker's sweeps: the `(node, dist)` entries of consecutive hubs,
+/// hub `i`'s ending at `ends[i]`.
+#[derive(Default)]
+struct Swept {
+    ends: Vec<u32>,
+    entries: Vec<(u32, u32)>,
+}
+
+impl Rows {
+    /// Packs `frags` — the sweeps of `hubs`, in order, split across
+    /// fragments — into rows by a stable counting scatter on the node:
+    /// one pass counts each row, a prefix sum places it, a second pass
+    /// writes every entry into its row's next free position. Rows come
+    /// out hub-ascending whenever `hubs` is, with no sort and no second
+    /// entry buffer.
+    fn scatter(h: usize, hubs: &[u32], frags: Vec<Swept>) -> Rows {
+        let mut off = vec![0u32; h + 1];
+        for f in &frags {
+            for &(v, _) in &f.entries {
+                off[v as usize + 1] += 1;
+            }
+        }
+        for v in 0..h {
+            off[v + 1] += off[v];
+        }
+        let total = off[h] as usize;
+        let mut hub = vec![0u32; total];
+        let mut dist = vec![0u32; total];
+        let mut next = off[..h].to_vec();
+        let mut hubs = hubs.iter();
+        for f in frags {
+            let mut lo = 0usize;
+            for &end in &f.ends {
+                let c = *hubs.next().expect("one hub per swept segment");
+                for &(v, d) in &f.entries[lo..end as usize] {
+                    let at = &mut next[v as usize];
+                    hub[*at as usize] = c;
+                    dist[*at as usize] = d;
+                    *at += 1;
+                }
+                lo = end as usize;
+            }
+        }
+        debug_assert!(hubs.next().is_none());
+        Rows { off, hub, dist }
+    }
+}
+
+/// Sweeps every hub in `hubs` (slot-ascending) and packs the entries
+/// into [`Rows`]. The caller's scratch is [`InterScratch::fit`] to `csr`
+/// once; at 1 worker (or a single hub) it is reused inline, otherwise
+/// `hubs` is chunked across scoped workers, each with a fresh scratch
+/// of the same span, and the fragments are scattered in chunk order —
+/// the same hub order as serial, so the rows are bit-identical for any
+/// worker count.
 fn sweep_hubs(
     csr: CsrView<'_>,
     hubs: &[u32],
     rank: &[u32],
     scratch: &mut InterScratch,
     workers: usize,
-) -> Vec<(u32, u32, u32)> {
-    let mut entries: Vec<(u32, u32, u32)> = if workers <= 1 || hubs.len() < 2 {
-        let mut entries = Vec::new();
+) -> Rows {
+    let span = scratch.fit(csr);
+    let frags = if workers <= 1 || hubs.len() < 2 {
+        let mut swept = Swept::default();
         for &c in hubs {
-            sweep_hub(csr, c, rank, scratch, &mut entries);
+            sweep_hub(csr, c, rank, scratch, &mut swept);
         }
-        entries
+        vec![swept]
     } else {
         par::scoped_chunks(workers, hubs.len(), hubs, |_, _, chunk: &[u32]| {
-            let mut local = InterScratch::new();
-            let mut entries = Vec::new();
+            let mut local = InterScratch::with_span(span);
+            let mut swept = Swept::default();
             for &c in chunk {
-                sweep_hub(csr, c, rank, &mut local, &mut entries);
+                sweep_hub(csr, c, rank, &mut local, &mut swept);
             }
-            entries
+            swept
         })
-        .into_iter()
-        .flatten()
-        .collect()
     };
-    entries.sort_unstable();
-    entries
+    Rows::scatter(csr.head_count(), hubs, frags)
 }
 
-/// One rank-restricted sweep from hub `c`, appending its `(node, hub,
-/// dist)` entries: every reached head ranking below `c`, plus the zero
-/// self-entry.
-fn sweep_hub(
-    csr: CsrView<'_>,
-    c: u32,
-    rank: &[u32],
-    scratch: &mut InterScratch,
-    entries: &mut Vec<(u32, u32, u32)>,
-) {
+/// One rank-restricted sweep from hub `c`, appending its `(node, dist)`
+/// entries — every reached head ranking below `c`, plus the zero
+/// self-entry — as one segment of `swept`.
+fn sweep_hub(csr: CsrView<'_>, c: u32, rank: &[u32], scratch: &mut InterScratch, swept: &mut Swept) {
     let r = rank[c as usize];
     scratch.sweep(csr, c as usize, Some((rank, r)));
     for &v in scratch.settled() {
         if v == c || rank[v as usize] > r {
-            entries.push((v, c, scratch.dist(v as usize)));
+            swept.entries.push((v, scratch.dist(v as usize)));
         }
     }
+    swept.ends.push(swept.entries.len() as u32);
 }
 
 #[cfg(test)]
@@ -814,14 +909,12 @@ mod tests {
                 continue;
             };
             let mut serial = baseline.clone();
-            let want = serial.repair(&changed, bb.csr(), &mut scratch);
+            let want = serial.repair_with(&changed, bb.csr(), &mut scratch, 1);
             for workers in [2usize, 3, 8] {
                 let mut par = baseline.clone();
                 let got = par.repair_with(&changed, bb.csr(), &mut scratch, workers);
                 assert_eq!(got, want, "round {round}: {workers}-worker repair verdict");
-                if want.is_some() {
-                    assert_eq!(par, serial, "round {round}: {workers}-worker repair arena");
-                }
+                assert_eq!(par, serial, "round {round}: {workers}-worker repair arena");
             }
         }
     }
@@ -848,12 +941,19 @@ mod tests {
         }
     }
 
+    /// How many hubs' lower sets `S_c` differ between two orders.
+    fn lower_set_changes(old: &[u32], new: &[u32]) -> usize {
+        let mut dirty = vec![false; old.len()];
+        mark_lower_set_changes(old, new, &mut dirty);
+        dirty.iter().filter(|&&d| d).count()
+    }
+
     #[test]
     fn repair_declines_when_order_changes() {
         // Removing an edge reshapes the link adjacency — here it even
         // splits the backbone — so the separator decomposition moves
-        // and repair must hand back a rebuild rather than splice
-        // against a stale order.
+        // so far that at least half the hubs' lower sets change, and
+        // repair must hand back a rebuild rather than re-sweep them.
         let h = 10usize;
         let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); h];
         for a in 0..h - 1 {
@@ -866,7 +966,68 @@ mod tests {
         adj[0].retain(|e| e.0 != 1);
         adj[1].retain(|e| e.0 != 0);
         let split = Backbone::from_adj(adj);
+        assert!(lower_set_changes(&hub.order, &hub_order(split.csr())) * 2 >= h);
         assert_eq!(hub.repair(&[0, 1], split.csr(), &mut scratch), None);
+        assert_eq!(hub, HubIndex::build(split.csr(), &mut scratch));
+    }
+
+    /// Three 8-cycles: every component is a separator leaf, emitted
+    /// whole in component order, so an edit inside the last cycle
+    /// reorders only the last eight positions of the order.
+    #[test]
+    fn order_change_in_a_short_suffix_is_repaired() {
+        let h = 24usize;
+        let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); h];
+        for base in (0..h).step_by(8) {
+            for i in 0..8 {
+                let (a, b) = (base + i, base + (i + 1) % 8);
+                let w = 1 + (a % 3) as u32;
+                adj[a].push((b as u32, w));
+                adj[b].push((a as u32, w));
+            }
+        }
+        let bb = Backbone::from_adj(adj.clone());
+        let mut scratch = InterScratch::new();
+        let mut hub = HubIndex::build(bb.csr(), &mut scratch);
+        // A chord raises two degrees in the last cycle.
+        let (a, b) = (16usize, 20usize);
+        adj[a].push((b as u32, 2));
+        adj[b].push((a as u32, 2));
+        let chorded = Backbone::from_adj(adj);
+        let new_order = hub_order(chorded.csr());
+        assert_ne!(new_order, hub.order, "the chord must reorder the last leaf");
+        assert_eq!(new_order[..16], hub.order[..16], "only the suffix moves");
+        let moved = lower_set_changes(&hub.order, &new_order);
+        assert!(moved > 0 && moved <= 8, "{moved} lower sets changed");
+        let dirty = hub
+            .repair(&[a as u32, b as u32], chorded.csr(), &mut scratch)
+            .expect("a suffix reorder repairs in place");
+        assert!(dirty >= moved && dirty <= 8, "{dirty} hubs re-swept");
+        assert_eq!(hub, HubIndex::build(chorded.csr(), &mut scratch));
+    }
+
+    #[test]
+    fn lower_set_test_matches_definition() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..200 {
+            let h = rng.gen_range(1..12usize);
+            let old: Vec<u32> = (0..h as u32).collect();
+            let mut new = old.clone();
+            // A few random transpositions, some of them far apart.
+            for _ in 0..rng.gen_range(0..3) {
+                let (i, j) = (rng.gen_range(0..h), rng.gen_range(0..h));
+                new.swap(i, j);
+            }
+            let (ro, rn) = (rank_of(&old), rank_of(&new));
+            let mut dirty = vec![false; h];
+            mark_lower_set_changes(&old, &new, &mut dirty);
+            for c in 0..h {
+                let lower = |rank: &[u32]| -> Vec<bool> {
+                    (0..h).map(|v| rank[v] > rank[c]).collect()
+                };
+                assert_eq!(dirty[c], lower(&ro) != lower(&rn), "{old:?} -> {new:?}, hub {c}");
+            }
+        }
     }
 
     #[test]
@@ -1004,5 +1165,188 @@ mod tests {
         assert!(dirty > 0);
         assert!(dirty < h / 2, "only a tail of hubs re-swept, got {dirty}");
         assert_eq!(hub, HubIndex::build(bb.csr(), &mut scratch));
+    }
+
+    /// A random geometric backbone: `h` points in the unit square, a
+    /// link between points closer than `radius`, weights in `1..=max_w`.
+    fn geometric(rng: &mut StdRng, h: usize, radius: f64, max_w: u32) -> Backbone {
+        let pts: Vec<(f64, f64)> = (0..h).map(|_| (rng.gen::<f64>(), rng.gen::<f64>())).collect();
+        let mut adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); h];
+        for a in 0..h {
+            for b in a + 1..h {
+                let (dx, dy) = (pts[a].0 - pts[b].0, pts[a].1 - pts[b].1);
+                if dx * dx + dy * dy < radius * radius {
+                    let w = rng.gen_range(1..=max_w);
+                    adj[a].push((b as u32, w));
+                    adj[b].push((a as u32, w));
+                }
+            }
+        }
+        Backbone::from_adj(adj)
+    }
+
+    /// One random link edit — add a link between two unlinked heads,
+    /// remove a link, or re-weight one — returning its two endpoints.
+    fn edit(bb: &mut Backbone, rng: &mut StdRng, max_w: u32) -> Vec<u32> {
+        let h = bb.adj.len();
+        let (a, b) = loop {
+            let (a, b) = (rng.gen_range(0..h), rng.gen_range(0..h));
+            if a != b {
+                break (a, b);
+            }
+        };
+        let linked = bb.adj[a].iter().any(|e| e.0 as usize == b);
+        let mut adj = std::mem::take(&mut bb.adj);
+        if !linked {
+            let w = rng.gen_range(1..=max_w);
+            adj[a].push((b as u32, w));
+            adj[b].push((a as u32, w));
+        } else if rng.gen_bool(0.6) {
+            adj[a].retain(|e| e.0 as usize != b);
+            adj[b].retain(|e| e.0 as usize != a);
+        } else {
+            let w = rng.gen_range(1..=max_w);
+            for (x, y) in [(a, b), (b, a)] {
+                for e in &mut adj[x] {
+                    if e.0 as usize == y {
+                        e.1 = w;
+                    }
+                }
+            }
+        }
+        *bb = Backbone::from_adj(adj);
+        vec![a.min(b) as u32, a.max(b) as u32]
+    }
+
+    /// Tallies of a [`repair_sweep`].
+    #[derive(Debug, Default)]
+    struct SweepTally {
+        edits: usize,
+        repaired: usize,
+        repaired_new_order: usize,
+        rebuilt: usize,
+    }
+
+    /// Random link edits on random geometric backbones, `rounds` times
+    /// `edits` of them: after every edit the repaired index — at 1, 2
+    /// and 3 workers, from the same starting index — must equal a fresh
+    /// build, whether it repaired in place (order changed or not) or
+    /// fell back to a rebuild.
+    fn repair_sweep(seed: u64, rounds: usize, edits: usize, h_max: usize) -> SweepTally {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut scratch = InterScratch::new();
+        let mut tally = SweepTally::default();
+        for round in 0..rounds {
+            let h = rng.gen_range(12..=h_max);
+            // Mean degree about 6, like the geometric backbones served.
+            let radius = (6.0 / (std::f64::consts::PI * h as f64)).sqrt();
+            let mut bb = geometric(&mut rng, h, radius, 5);
+            let mut hub = HubIndex::build(bb.csr(), &mut scratch);
+            for step in 0..edits {
+                let changed = edit(&mut bb, &mut rng, 5);
+                let fresh = HubIndex::build(bb.csr(), &mut scratch);
+                let mut verdicts = Vec::new();
+                for workers in [1usize, 2, 3] {
+                    let mut repaired = hub.clone();
+                    verdicts.push(repaired.repair_with(&changed, bb.csr(), &mut scratch, workers));
+                    assert_eq!(
+                        repaired, fresh,
+                        "round {round} step {step}: {workers}-worker repair ({:?}) diverged",
+                        verdicts.last()
+                    );
+                }
+                assert!(verdicts.windows(2).all(|w| w[0] == w[1]), "{verdicts:?}");
+                tally.edits += 1;
+                match verdicts[0] {
+                    InterRepair::HubRepaired { order_changed, .. } => {
+                        tally.repaired += 1;
+                        tally.repaired_new_order += usize::from(order_changed);
+                    }
+                    InterRepair::HubRebuilt { .. } => tally.rebuilt += 1,
+                    other => panic!("hub repair reported {other:?}"),
+                }
+                hub = fresh;
+            }
+        }
+        tally
+    }
+
+    #[test]
+    fn randomized_link_edits_repair_to_fresh_build() {
+        let tally = repair_sweep(31, 12, 25, 60);
+        assert!(
+            tally.repaired_new_order > 0 && tally.rebuilt > 0,
+            "the sweep must cover order-changing repairs and rebuilds: {tally:?}"
+        );
+    }
+
+    /// The long tier of [`randomized_link_edits_repair_to_fresh_build`]:
+    /// about 20k edits on backbones of up to 400 heads. Run with
+    /// `cargo test -p adhoc-cluster --release -- --ignored hub_repair`.
+    #[test]
+    #[ignore = "long sweep; run in release with --ignored"]
+    fn hub_repair_long_randomized_sweep() {
+        let tally = repair_sweep(4077, 100, 200, 400);
+        assert_eq!(tally.edits, 20_000);
+        assert!(tally.repaired_new_order > 0, "{tally:?}");
+    }
+
+    /// Backbone with weights up to 40 and one far heavier link, so the
+    /// bucket ring spans well past `2k + 1`.
+    fn heavy_backbone(rng: &mut StdRng, h: usize) -> Backbone {
+        let mut bb = Backbone::random(rng, h, 0.3);
+        let mut adj = std::mem::take(&mut bb.adj);
+        for (a, nbrs) in adj.iter_mut().enumerate() {
+            for e in nbrs.iter_mut() {
+                // Symmetric weight per unordered pair.
+                let (x, y) = (a.min(e.0 as usize), a.max(e.0 as usize));
+                e.1 = 1 + ((x * 31 + y * 17) % 40) as u32;
+            }
+        }
+        let (a, b) = (0usize, h - 1);
+        adj[a].retain(|e| e.0 as usize != b);
+        adj[b].retain(|e| e.0 as usize != a);
+        adj[a].push((b as u32, 250));
+        adj[b].push((a as u32, 250));
+        Backbone::from_adj(adj)
+    }
+
+    #[test]
+    fn bucket_sweep_matches_dijkstra_at_heavy_weights() {
+        let mut rng = StdRng::seed_from_u64(40);
+        let mut scratch = InterScratch::new();
+        for _ in 0..20 {
+            let h = rng.gen_range(2..24usize);
+            let bb = heavy_backbone(&mut rng, h);
+            assert_eq!(scratch.fit(bb.csr()), 251);
+            for s in 0..h {
+                let want = oracle_dist(&bb, s);
+                scratch.sweep(bb.csr(), s, None);
+                let settled = scratch.settled();
+                assert_eq!(settled.len(), want.iter().filter(|&&d| d != FAR).count());
+                assert!(settled.windows(2).all(|w| scratch.dist(w[0] as usize) <= scratch.dist(w[1] as usize)));
+                for &v in settled {
+                    assert_eq!(scratch.dist(v as usize), want[v as usize], "{s} -> {v}");
+                }
+            }
+            let hub = HubIndex::build(bb.csr(), &mut scratch);
+            for s in 0..h {
+                let want = oracle_dist(&bb, s);
+                for (t, &w) in want.iter().enumerate() {
+                    assert_eq!(hub.dist(s, t), w, "hub {s} -> {t}");
+                    assert_eq!(walk_route(&hub, &bb, s, t), oracle_route(&bb, s, t), "{s} -> {t}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows a 6-bucket ring")]
+    fn stale_ring_fit_panics() {
+        let light = Backbone::from_adj(vec![vec![(1, 5)], vec![(0, 5), (2, 5)], vec![(1, 5)]]);
+        let heavy = Backbone::from_adj(vec![vec![(1, 5)], vec![(0, 5), (2, 9)], vec![(1, 9)]]);
+        let mut scratch = InterScratch::new();
+        scratch.fit(light.csr());
+        scratch.sweep(heavy.csr(), 0, None);
     }
 }

@@ -20,7 +20,7 @@
 //! The rule is a pure function of exact backbone distances, which is
 //! precisely what lets two very different representations serve it
 //! bit-identically: the dense table derives it per source with one
-//! Dijkstra plus a settled-order DP (the first hops of `s ⇝ t` are the
+//! bucket-queue Dijkstra plus a settled-order DP (the first hops of `s ⇝ t` are the
 //! union over shortest predecessors `p` of `t` of the first hops of
 //! `s ⇝ p`, so the minimum propagates), while the hub index scatters
 //! the target's label once per query, answers each `dist(·, t)` with
@@ -37,8 +37,6 @@
 
 use super::hub::HubIndex;
 use adhoc_graph::par::{self, Strided};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// "No next hop" marker (unreachable target, or an unfilled row).
 pub(crate) const NO_HOP: u32 = u32::MAX;
@@ -93,18 +91,28 @@ impl<'a> CsrView<'a> {
 
 /// Reusable per-source sweep state shared by the dense all-pairs build
 /// and the hub index's pruned sweeps — hoisted out of the per-source
-/// loop so neither allocates a heap, a distance array, or a settled
-/// list per source (they used to, once per `next_hop_row` call).
+/// loop so neither allocates a queue, a distance array, or a settled
+/// list per source.
+///
+/// The queue is a bucket ring (Dial's algorithm): link weights are small
+/// integers (a virtual link spans at most `2k + 1` hops), so a node
+/// queued at distance `d` waits in bucket `d mod span`, and every
+/// queued distance lies in `[cur, cur + w_max]`. With `span = w_max + 1`
+/// no two live distances share a bucket, and a sweep costs `O(m +
+/// max dist)` instead of `O(m log h)`. [`Self::fit`] sizes the ring from
+/// the backbone's heaviest link once per build or repair.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct InterScratch {
     dist: Vec<u32>,
     /// Nodes whose `dist` entry was written this sweep (superset of
-    /// `settled`: includes heap-inserted-but-unsettled nodes), for
+    /// `settled`: includes queued-but-unsettled nodes), for
     /// touched-entry reset.
     touched: Vec<u32>,
     /// Settled nodes in nondecreasing-distance order.
     settled: Vec<u32>,
-    heap: BinaryHeap<Reverse<(u32, u32)>>,
+    /// `ring[d % ring.len()]`: nodes queued at distance `d`, stale
+    /// entries (improved since) included. Empty between sweeps.
+    ring: Vec<Vec<u32>>,
 }
 
 impl InterScratch {
@@ -112,13 +120,38 @@ impl InterScratch {
         InterScratch::default()
     }
 
-    /// Runs a Dijkstra sweep from `s` over `csr`, leaving `dist` and
-    /// `settled` valid until the next sweep. With `restrict =
+    /// A fresh scratch whose ring has `span` buckets — how pool workers
+    /// inherit the caller's [`Self::fit`].
+    pub(crate) fn with_span(span: usize) -> Self {
+        InterScratch {
+            ring: vec![Vec::new(); span],
+            ..InterScratch::default()
+        }
+    }
+
+    /// Sizes the bucket ring to `csr`'s heaviest link weight plus one
+    /// and returns that span. Call once per build or repair, before
+    /// any sweep over `csr`. Also empties every bucket, which a sweep
+    /// cut short by a panic can leave behind.
+    pub(crate) fn fit(&mut self, csr: CsrView<'_>) -> usize {
+        let span = csr.hops.iter().copied().max().unwrap_or(0) as usize + 1;
+        self.ring.iter_mut().for_each(Vec::clear);
+        self.ring.resize_with(span, Vec::new);
+        span
+    }
+
+    /// Runs a shortest-path sweep from `s` over `csr`, leaving `dist`
+    /// and `settled` valid until the next sweep. With `restrict =
     /// Some((rank, r))` the sweep is **rank-restricted**: nodes whose
     /// rank is below `r` (more important than the source) are settled
     /// but never expanded, so computed distances are minima over paths
     /// whose *interior* stays less important than the source — the hub
     /// index's pruning rule (see [`HubIndex`]).
+    ///
+    /// # Panics
+    /// Before any [`Self::fit`], or when a link that would queue a node
+    /// is heavier than the ring that fit sized — a stale fit would
+    /// silently misorder the queue.
     pub(crate) fn sweep(&mut self, csr: CsrView<'_>, s: usize, restrict: Option<(&[u32], u32)>) {
         let h = csr.head_count();
         if self.dist.len() < h {
@@ -129,33 +162,51 @@ impl InterScratch {
         }
         self.touched.clear();
         self.settled.clear();
-        self.heap.clear();
+        let span = self.ring.len();
+        assert!(span > 0, "sweep before InterScratch::fit");
         self.dist[s] = 0;
         self.touched.push(s as u32);
-        self.heap.push(Reverse((0, s as u32)));
-        while let Some(Reverse((d, u))) = self.heap.pop() {
-            let ui = u as usize;
-            if d > self.dist[ui] {
-                continue; // stale heap entry
-            }
-            self.settled.push(u);
-            if let Some((rank, r)) = restrict {
-                if ui != s && rank[ui] < r {
-                    continue; // settled, not expanded: pruned frontier
+        self.ring[0].push(s as u32);
+        let mut queued = 1usize;
+        let (mut cur, mut b) = (0u32, 0usize);
+        while queued > 0 {
+            let mut i = 0usize;
+            while i < self.ring[b].len() {
+                let u = self.ring[b][i];
+                i += 1;
+                let ui = u as usize;
+                if self.dist[ui] != cur {
+                    continue; // stale: settled earlier at a smaller distance
                 }
-            }
-            for (to, w) in csr.row(ui) {
-                let ti = to as usize;
-                debug_assert!(w >= 1, "virtual links span at least one hop");
-                let nd = d + w;
-                if nd < self.dist[ti] {
-                    if self.dist[ti] == FAR {
-                        self.touched.push(to);
+                self.settled.push(u);
+                if let Some((rank, r)) = restrict {
+                    if ui != s && rank[ui] < r {
+                        continue; // settled, not expanded: pruned frontier
                     }
-                    self.dist[ti] = nd;
-                    self.heap.push(Reverse((nd, to)));
+                }
+                for (to, w) in csr.row(ui) {
+                    let ti = to as usize;
+                    debug_assert!(w >= 1, "virtual links span at least one hop");
+                    let nd = cur + w;
+                    if nd < self.dist[ti] {
+                        assert!(
+                            (w as usize) < span,
+                            "link weight {w} overflows a {span}-bucket ring (stale fit)"
+                        );
+                        if self.dist[ti] == FAR {
+                            self.touched.push(to);
+                        }
+                        self.dist[ti] = nd;
+                        let slot = b + w as usize;
+                        self.ring[if slot >= span { slot - span } else { slot }].push(to);
+                        queued += 1;
+                    }
                 }
             }
+            queued -= i;
+            self.ring[b].clear();
+            cur += 1;
+            b = if b + 1 == span { 0 } else { b + 1 };
         }
     }
 
@@ -174,11 +225,12 @@ impl InterScratch {
 /// the smallest-slot first hop of a shortest `s ⇝ t` backbone route
 /// (`s` itself for `t == s`, [`NO_HOP`] if `t` is unreachable).
 ///
-/// One binary-heap Dijkstra plus a settled-order DP — the set of first
+/// One bucket-queue sweep plus a settled-order DP — the set of first
 /// hops of `s ⇝ t` is the union over shortest predecessors `p` of `t`
 /// of the first hops of `s ⇝ p` (plus `t` itself when `(s, t)` is an
 /// edge on a shortest route), so the minimum propagates along settled
-/// order. `O(m log h)` per source with `m` directed links.
+/// order. `O(m + max dist)` per source with `m` directed links; the
+/// scratch must be [`InterScratch::fit`] to `csr`.
 pub(crate) fn next_hop_row(csr: CsrView<'_>, s: usize, row: &mut [u32], scratch: &mut InterScratch) {
     debug_assert_eq!(row.len(), csr.head_count());
     scratch.sweep(csr, s, None);
@@ -222,6 +274,7 @@ pub(crate) fn all_pairs_next_hops_with(
 ) -> Vec<u32> {
     let h = csr.head_count();
     let mut table = vec![NO_HOP; h * h];
+    let span = scratch.fit(csr);
     if workers <= 1 || h < 2 {
         for s in 0..h {
             next_hop_row(csr, s, &mut table[s * h..(s + 1) * h], scratch);
@@ -232,7 +285,7 @@ pub(crate) fn all_pairs_next_hops_with(
             h,
             Strided::new(&mut table[..], h),
             |off, take, chunk: Strided<&mut [u32]>| {
-                let mut local = InterScratch::new();
+                let mut local = InterScratch::with_span(span);
                 for i in 0..take {
                     next_hop_row(csr, off + i, &mut chunk.data[i * h..(i + 1) * h], &mut local);
                 }
@@ -314,14 +367,20 @@ pub enum InterRepair {
     /// table has no cheaper sound repair).
     DenseRecomputed,
     /// Hub layout: only the labels of hubs whose trees touched a
-    /// changed edge were re-swept.
+    /// changed edge, or whose lower set the new importance order moved,
+    /// were re-swept.
     HubRepaired {
         /// Hubs re-swept (out of `h`).
         dirty_hubs: usize,
+        /// The repair met a new importance order.
+        order_changed: bool,
     },
-    /// Hub layout: the dirty fraction crossed the fallback threshold or
-    /// the degree order itself changed, so the index was rebuilt.
-    HubRebuilt,
+    /// Hub layout: the dirty fraction crossed the fallback threshold,
+    /// so the index was rebuilt.
+    HubRebuilt {
+        /// The rebuild adopted a new importance order.
+        order_changed: bool,
+    },
 }
 
 /// One API over both inter-head representations, mirroring the label
@@ -423,13 +482,7 @@ impl InterTable {
                 *next_hop = all_pairs_next_hops_with(csr, scratch, workers);
                 InterRepair::DenseRecomputed
             }
-            InterTable::Hub(hub) => match hub.repair_with(changed, csr, scratch, workers) {
-                Some(dirty_hubs) => InterRepair::HubRepaired { dirty_hubs },
-                None => {
-                    *hub = HubIndex::build_with(csr, scratch, workers);
-                    InterRepair::HubRebuilt
-                }
-            },
+            InterTable::Hub(hub) => hub.repair_with(changed, csr, scratch, workers),
         }
     }
 
@@ -543,10 +596,44 @@ mod tests {
                 to: &to,
                 hops: &hops,
             };
+            scratch.fit(csr);
             for s in 0..h {
                 let mut row = vec![0u32; h];
                 next_hop_row(csr, s, &mut row, &mut scratch);
                 assert_eq!(row, reference_row(&adj, s), "source {s}");
+            }
+        }
+    }
+
+    /// The dense rows at weights up to 40 plus one much heavier link:
+    /// the bucket ring is sized from the heaviest link, never from the
+    /// `2k + 1` a virtual link usually spans.
+    #[test]
+    fn matches_reference_at_heavy_weights() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(400);
+        for _ in 0..30 {
+            let h = rng.gen_range(2..16usize);
+            let mut adj = random_adj(&mut rng, h, 0.4);
+            for (a, nbrs) in adj.iter_mut().enumerate() {
+                for e in nbrs.iter_mut() {
+                    let (x, y) = (a.min(e.0 as usize), a.max(e.0 as usize));
+                    e.1 = 1 + ((x * 13 + y * 7) % 40) as u32;
+                }
+            }
+            adj[0].retain(|e| e.0 as usize != h - 1);
+            adj[h - 1].retain(|e| e.0 != 0);
+            adj[0].push((h as u32 - 1, 300));
+            adj[h - 1].push((0, 300));
+            let (off, to, hops) = to_csr(&adj);
+            let csr = CsrView {
+                off: &off,
+                to: &to,
+                hops: &hops,
+            };
+            let table = all_pairs_next_hops(csr, &mut InterScratch::new());
+            for s in 0..h {
+                assert_eq!(&table[s * h..(s + 1) * h], &reference_row(&adj, s)[..], "source {s}");
             }
         }
     }
@@ -646,7 +733,9 @@ mod tests {
             hops: &hops,
         };
         let mut row = vec![0u32; 4];
-        next_hop_row(csr, 0, &mut row, &mut InterScratch::new());
+        let mut scratch = InterScratch::new();
+        scratch.fit(csr);
+        next_hop_row(csr, 0, &mut row, &mut scratch);
         assert_eq!(row[3], 1);
     }
 
@@ -672,7 +761,9 @@ mod tests {
             hops: &hops,
         };
         let mut row = vec![0u32; 6];
-        next_hop_row(csr, 0, &mut row, &mut InterScratch::new());
+        let mut scratch = InterScratch::new();
+        scratch.fit(csr);
+        next_hop_row(csr, 0, &mut row, &mut scratch);
         assert_eq!(row[4], 1);
     }
 

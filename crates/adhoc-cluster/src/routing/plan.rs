@@ -165,11 +165,22 @@ impl PlanUpdate {
         match self.inter {
             InterRepair::Unchanged => metrics.inc("inter.unchanged"),
             InterRepair::DenseRecomputed => metrics.inc("inter.dense_recomputed"),
-            InterRepair::HubRepaired { dirty_hubs } => {
+            InterRepair::HubRepaired {
+                dirty_hubs,
+                order_changed,
+            } => {
                 metrics.inc("hub.repaired");
                 metrics.add("hub.dirty_hubs", dirty_hubs as u64);
+                if order_changed {
+                    metrics.inc("hub.order_changed");
+                }
             }
-            InterRepair::HubRebuilt => metrics.inc("hub.rebuilt"),
+            InterRepair::HubRebuilt { order_changed } => {
+                metrics.inc("hub.rebuilt");
+                if order_changed {
+                    metrics.inc("hub.order_changed");
+                }
+            }
         }
     }
 }
@@ -565,7 +576,9 @@ impl RoutePlan {
             self.epoch = epoch;
             let inter = match self.inter {
                 InterTable::Dense { .. } => InterRepair::DenseRecomputed,
-                InterTable::Hub(_) => InterRepair::HubRebuilt,
+                InterTable::Hub(_) => InterRepair::HubRebuilt {
+                    order_changed: false,
+                },
             };
             let update = PlanUpdate {
                 rebuilt: true,

@@ -161,7 +161,7 @@ proptest! {
                 hub_report.next_recomputed, dense_report.next_recomputed,
                 "step {}: layouts disagree on backbone change", step
             );
-            if let InterRepair::HubRepaired { dirty_hubs } = hub_report.inter {
+            if let InterRepair::HubRepaired { dirty_hubs, .. } = hub_report.inter {
                 prop_assert!(dirty_hubs <= c.heads.len());
             }
             let fresh_hub = RoutePlan::compile_with(

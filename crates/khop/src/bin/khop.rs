@@ -114,6 +114,21 @@ fn parse_alg(s: &str) -> Algorithm {
     }
 }
 
+/// Generates the `n`-node network every subcommand uses, under the
+/// large-`N` sampling convention of [`gen::GeometricConfig::at_scale`];
+/// says on stderr when that convention drops the connectivity
+/// requirement.
+fn generate(n: usize, d: f64, rng: &mut StdRng) -> gen::GeometricNetwork {
+    let cfg = gen::GeometricConfig::at_scale(n, 100.0, d);
+    if !cfg.require_connected {
+        eprintln!(
+            "khop: n = {n} ≥ {}: the network is not required to be connected",
+            gen::CONNECTED_SAMPLING_LIMIT
+        );
+    }
+    gen::geometric(&cfg, rng)
+}
+
 /// Loads `--input` or generates from `--n/--d/--seed`.
 fn obtain_graph(args: &Args) -> Graph {
     if let Some(path) = args.opt("input") {
@@ -125,7 +140,7 @@ fn obtain_graph(args: &Args) -> Graph {
         let d: f64 = args.get("d", 6.0);
         let seed: u64 = args.get("seed", 1);
         let mut rng = StdRng::seed_from_u64(seed);
-        gen::geometric(&gen::GeometricConfig::at_scale(n, 100.0, d), &mut rng).graph
+        generate(n, d, &mut rng).graph
     }
 }
 
@@ -135,7 +150,7 @@ fn cmd_gen(args: &Args) {
     let seed: u64 = args.get("seed", 1);
     let out = args.opt("out").unwrap_or("network.txt");
     let mut rng = StdRng::seed_from_u64(seed);
-    let net = gen::geometric(&gen::GeometricConfig::at_scale(n, 100.0, d), &mut rng);
+    let net = generate(n, d, &mut rng);
     adhoc_graph::io::save(&PathBuf::from(out), &net.graph, Some(&net.positions))
         .unwrap_or_else(|e| die(&format!("cannot write {out}: {e}")));
     println!(
@@ -463,7 +478,7 @@ fn cmd_maintain(args: &Args) {
     let steps: usize = args.get("steps", 50);
     let speed: f64 = args.get("speed", 1.0);
     let mut rng = StdRng::seed_from_u64(seed);
-    let base = gen::geometric(&gen::GeometricConfig::new(n, 100.0, d), &mut rng);
+    let base = generate(n, d, &mut rng);
     let wp = WaypointConfig {
         side: 100.0,
         min_speed: (speed * 0.2).max(1e-6),
@@ -527,7 +542,7 @@ fn cmd_churn(args: &Args) {
         die(&format!("--speed must be a positive number (got {speed})"));
     }
     let mut rng = StdRng::seed_from_u64(seed);
-    let base = gen::geometric(&gen::GeometricConfig::new(n, 100.0, d), &mut rng);
+    let base = generate(n, d, &mut rng);
 
     // Trajectory: `movers` random-waypoint nodes over a static field.
     let mut model = mobility::RandomWaypoint::new(
@@ -764,7 +779,7 @@ fn cmd_resilience(args: &Args) {
     // this command always generates its own geometry — `--input` files
     // carry no coordinates the engine could target.
     let mut rng = StdRng::seed_from_u64(seed);
-    let net = gen::geometric(&gen::GeometricConfig::at_scale(n, 100.0, d), &mut rng);
+    let net = generate(n, d, &mut rng);
     let policy = MovementConfig::strict(k, Algorithm::AcLmst).capped(level);
     let mut engine = ChurnEngine::build_with_labels(&net.graph, policy, labels);
     engine.set_workers(par);

@@ -125,3 +125,14 @@ fn unknown_flag_fails_with_usage() {
         assert!(out.stdout.is_empty(), "{args:?} ran anyway");
     }
 }
+
+/// Above the connected-sampling limit `churn` generates a network that
+/// need not be connected (instead of resampling until the generator
+/// gives up) and says so on stderr.
+#[test]
+fn churn_generates_at_scale() {
+    let out = khop(&["churn", "--n", "5000", "--steps", "1"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(err.contains("not required to be connected"), "{err}");
+}
