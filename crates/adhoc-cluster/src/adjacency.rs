@@ -16,7 +16,7 @@
 use crate::clustering::Clustering;
 use adhoc_graph::bfs::Adjacency;
 use adhoc_graph::graph::NodeId;
-use adhoc_graph::labels::{HeadLabels, LabelStore};
+use adhoc_graph::labels::LabelStore;
 use std::collections::BTreeMap;
 
 /// Which neighbor clusterhead selection rule to apply.
@@ -128,7 +128,8 @@ pub fn neighbor_clusterheads<G: Adjacency>(
     match rule {
         NeighborRule::All2kPlus1 => {
             let bound = 2 * clustering.k + 1;
-            let labels = LabelStore::Dense(HeadLabels::build(g, &clustering.heads, bound));
+            let mut labels = LabelStore::default();
+            labels.rebuild(g, &clustering.heads, bound);
             nc_from_labels(clustering, &labels)
         }
         NeighborRule::Adjacent => adjacent_heads(g, clustering),
@@ -139,10 +140,9 @@ pub fn neighbor_clusterheads<G: Adjacency>(
 /// `h` iff `dist(h, o) <= 2k+1`. No graph traversal happens here — the
 /// evaluation engine shares one [`LabelStore`] build across the NC
 /// relation, both virtual graphs, and G-MST. Each row comes from
-/// [`LabelStore::heads_within`], which the dense layout answers by
-/// probing every head (`O(h)` per row) and the sparse layout by
-/// scanning the head's ball (`O(ball)` per row — asymptotically
-/// cheaper at scale).
+/// [`LabelStore::heads_within`], which scans the head list or the
+/// head's ball, whichever is shorter (`O(min(h, ball))` per row plus
+/// the label lookups).
 ///
 /// # Panics
 /// Panics if `labels` was built from a different head set or with a

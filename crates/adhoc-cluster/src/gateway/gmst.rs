@@ -4,7 +4,7 @@ use super::GatewaySelection;
 use crate::clustering::Clustering;
 use crate::virtual_graph::{self, VirtualGraph};
 use adhoc_graph::bfs::Adjacency;
-use adhoc_graph::labels::HeadLabels;
+use adhoc_graph::labels::LabelStore;
 use adhoc_graph::lmst::TieWeight;
 use adhoc_graph::mst::{self, WeightedEdge};
 
@@ -21,7 +21,7 @@ pub fn gmst<G: Adjacency>(g: &G, clustering: &Clustering) -> GatewaySelection {
     // Only head-to-head distances and inter-head path walks are
     // consumed, so each BFS can stop as soon as the farthest head is
     // labeled instead of sweeping its whole component.
-    let mut labels = HeadLabels::default();
+    let mut labels = LabelStore::default();
     labels.rebuild_reaching_heads(g, &clustering.heads);
     gmst_from_labels(g, clustering, &labels)
 }
@@ -34,7 +34,7 @@ pub fn gmst<G: Adjacency>(g: &G, clustering: &Clustering) -> GatewaySelection {
 pub fn gmst_from_labels<G: Adjacency>(
     g: &G,
     clustering: &Clustering,
-    labels: &HeadLabels,
+    labels: &LabelStore,
 ) -> GatewaySelection {
     assert_eq!(labels.bound(), u32::MAX, "G-MST needs unbounded labels");
     // All pairwise head distances are already in the labels; the MST

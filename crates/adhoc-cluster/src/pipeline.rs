@@ -145,16 +145,14 @@ pub fn run_on<G: Adjacency + Sync>(
     algorithm: Algorithm,
     clustering: &Clustering,
 ) -> PipelineOutput {
-    run_on_with(g, algorithm, clustering, &mut EvalScratch::with_mode(LabelMode::Dense))
+    run_on_with(g, algorithm, clustering, &mut EvalScratch::new())
 }
 
 /// As [`run_on`], reusing `scratch` — and with it the scratch's label
-/// layout policy, which is how `khop run --labels …` evaluates a
-/// single algorithm under the sparse layout without paying for the
-/// other four. Output is bit-identical across layouts (pinned by the
-/// `label_equivalence` proptests). G-MST ignores the scratch: the
-/// centralized baseline reads unbounded head-to-head distances, not
-/// the localized `2k+1` store.
+/// storage policy. Output is bit-identical across row storages (pinned
+/// by the `label_equivalence` proptests). G-MST ignores the scratch:
+/// the centralized baseline reads unbounded head-to-head distances,
+/// not the localized `2k+1` store.
 pub fn run_on_with<G: Adjacency + Sync>(
     g: &G,
     algorithm: Algorithm,
@@ -165,7 +163,6 @@ pub fn run_on_with<G: Adjacency + Sync>(
         Algorithm::GMst => (None, gateway::gmst(g, clustering)),
         _ => {
             let bound = 2 * clustering.k + 1;
-            scratch.ensure_layout(g.node_count(), clustering.heads.len());
             {
                 let _sweep = scratch.metrics.span("labels.sweep_ns");
                 scratch
@@ -205,19 +202,17 @@ pub fn run_on_with<G: Adjacency + Sync>(
 /// arena persists across replicates within a thread, so a warm worker
 /// pays no per-replicate allocation for the label sweep.
 ///
-/// The arena lives behind a [`LabelStore`] in one of two layouts — the
-/// dense `heads × n` distance matrix or the sparse ball-indexed rows —
-/// selected by the scratch's [`LabelMode`]. The default `Auto` mode
-/// keeps paper-scale grids on the dense layout and switches to sparse
-/// once the projected flat arena would exceed
+/// The arena is a [`LabelStore`], whose [`LabelMode`] picks its row
+/// storage at every full build. The default `Auto` mode keeps
+/// paper-scale grids on flat `heads × n` rows and switches to per-head
+/// ball tables once the projected flat rows would exceed
 /// [`adhoc_graph::labels::AUTO_SPARSE_THRESHOLD_BYTES`] (the regime
 /// where `O(h · n)` memory, not time, caps scale). Every product is
-/// bit-for-bit identical across layouts (pinned by the
+/// bit-for-bit identical across storages (pinned by the
 /// `label_equivalence` proptests).
 #[derive(Clone, Debug, Default)]
 pub struct EvalScratch {
     labels: LabelStore,
-    mode: LabelMode,
     par: Parallelism,
     lmstga: gateway::LmstgaScratch,
     metrics: Metrics,
@@ -232,26 +227,25 @@ impl EvalScratch {
         EvalScratch::default()
     }
 
-    /// Fresh scratch with an explicit label layout policy.
+    /// Fresh scratch with an explicit label storage policy.
     pub fn with_mode(mode: LabelMode) -> Self {
         EvalScratch::with_tuning(mode, Parallelism::default())
     }
 
-    /// Fresh scratch with an explicit label layout **and** worker
-    /// count.
+    /// Fresh scratch with an explicit label storage policy **and**
+    /// worker count.
     pub fn with_tuning(mode: LabelMode, par: Parallelism) -> Self {
         EvalScratch {
             labels: LabelStore::for_mode(mode, 0, 0),
-            mode,
             par,
             lmstga: gateway::LmstgaScratch::default(),
             metrics: Metrics::disabled(),
         }
     }
 
-    /// The configured label layout policy.
+    /// The configured label storage policy.
     pub fn mode(&self) -> LabelMode {
-        self.mode
+        self.labels.mode()
     }
 
     /// The configured worker-count policy for label builds/repairs.
@@ -288,21 +282,11 @@ impl EvalScratch {
     }
 
     /// Heap bytes currently held by the label arena — `O(heads × n)`
-    /// dense, `O(Σ ball sizes + n)` sparse. Recorded per grid cell by
-    /// `perf_baseline` (both layouts), which is the data the ROADMAP's
-    /// dense-vs-sparse decision closed on.
+    /// flat rows, `O(Σ ball sizes + n)` ball tables. Recorded per grid
+    /// cell by `perf_baseline` (both storages), which is the data the
+    /// ROADMAP's dense-vs-sparse decision closed on.
     pub fn labels_memory_bytes(&self) -> usize {
         self.labels.memory_bytes()
-    }
-
-    /// Swaps in the layout the mode wants for an upcoming build over
-    /// `heads` sources on an `n`-node graph. A swap drops the warm
-    /// arena (forcing the rebuild the caller is about to do anyway);
-    /// with a stable `(n, heads)` the layout never flaps.
-    fn ensure_layout(&mut self, n: usize, heads: usize) {
-        if self.mode.wants_sparse(n, heads) != self.labels.is_sparse() {
-            self.labels = LabelStore::for_mode(self.mode, n, heads);
-        }
     }
 }
 
@@ -391,7 +375,6 @@ pub fn run_all_with<G: Adjacency + Sync>(
     // [`gateway::gmst_via_nc`] — even the global MST baseline, so no
     // unbounded traversal happens on the hot path at all.
     let bound = 2 * clustering.k + 1;
-    scratch.ensure_layout(g.node_count(), clustering.heads.len());
     {
         let _sweep = scratch.metrics.span("labels.sweep_ns");
         scratch
@@ -569,10 +552,6 @@ pub fn advance_labels<G: Adjacency + Sync>(
 ) -> LabelAdvance {
     let bound = 2 * clustering.k + 1;
     let _advance = scratch.metrics.span("labels.advance_ns");
-    // A layout switch (auto heuristic crossing its threshold) empties
-    // the store, which the compatibility test below turns into the
-    // full rebuild such a switch requires anyway.
-    scratch.ensure_layout(g.node_count(), clustering.heads.len());
     let compatible = scratch.labels.heads() == &clustering.heads[..]
         && scratch.labels.bound() == bound
         && scratch.labels.node_count() == g.node_count();
@@ -696,9 +675,6 @@ pub fn advance_labels_headset<G: Adjacency + Sync>(
 ) -> LabelAdvance {
     let bound = 2 * clustering.k + 1;
     let _advance = scratch.metrics.span("labels.advance_ns");
-    // A layout switch empties the store; the compatibility test below
-    // turns that into the full rebuild the switch requires anyway.
-    scratch.ensure_layout(g.node_count(), clustering.heads.len());
     let compatible =
         scratch.labels.bound() == bound && scratch.labels.node_count() == g.node_count();
     if !compatible {
@@ -848,7 +824,6 @@ pub fn update_all<G: Adjacency + Sync>(
         advance_labels(g, clustering, delta, scratch)
     } else {
         let bound = 2 * clustering.k + 1;
-        scratch.ensure_layout(g.node_count(), clustering.heads.len());
         scratch
             .labels
             .rebuild_with(g, &clustering.heads, bound, scratch.par);
@@ -1001,11 +976,8 @@ mod tests {
                 let fresh = run_all(&g, &clustering);
                 assert_evals_equal(&next, &fresh, &format!("k={k} step={step}"));
                 // The warm labels equal a cold rebuild too.
-                let cold = adhoc_graph::labels::HeadLabels::build(
-                    &g,
-                    &clustering.heads,
-                    2 * k + 1,
-                );
+                let mut cold = LabelStore::default();
+                cold.rebuild(&g, &clustering.heads, 2 * k + 1);
                 for slot in 0..clustering.heads.len() {
                     assert_eq!(scratch.labels().ball(slot), cold.ball(slot));
                 }

@@ -71,7 +71,7 @@
 //!   `c` in the **old** labels (for additions, apply the argument to
 //!   the first changed edge along the new path: its near endpoint is
 //!   reached via old edges only). That yields the sound dirty test
-//!   mirroring `HeadLabels::dirty_slots`:
+//!   mirroring `LabelStore::dirty_slots`:
 //!
 //!   > hub `c` is dirty ⟺ some changed-edge endpoint's old label row
 //!   > contains `c`.

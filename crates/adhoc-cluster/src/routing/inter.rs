@@ -332,28 +332,6 @@ impl InterMode {
             InterMode::Auto => projected_dense_bytes(h) > AUTO_HUB_THRESHOLD_BYTES,
         }
     }
-
-    /// Display name (`dense` / `hub` / `auto`).
-    pub fn name(self) -> &'static str {
-        match self {
-            InterMode::Dense => "dense",
-            InterMode::Hub => "hub",
-            InterMode::Auto => "auto",
-        }
-    }
-}
-
-impl std::str::FromStr for InterMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "dense" => Ok(InterMode::Dense),
-            "hub" => Ok(InterMode::Hub),
-            "auto" => Ok(InterMode::Auto),
-            other => Err(format!("unknown inter-table layout {other} (dense|hub|auto)")),
-        }
-    }
 }
 
 /// What an `InterTable::repair` did — surfaced through
@@ -774,7 +752,5 @@ mod tests {
         assert!(InterMode::Auto.wants_hub(1025));
         assert!(!InterMode::Dense.wants_hub(1_000_000));
         assert!(InterMode::Hub.wants_hub(2));
-        assert_eq!("hub".parse::<InterMode>().unwrap(), InterMode::Hub);
-        assert!("matrix".parse::<InterMode>().is_err());
     }
 }

@@ -18,14 +18,14 @@
 //! `BTreeMap` with a heap `Vec` per link. Borrowed [`LinkRef`] views
 //! are handed out; [`VirtualLink`] remains as the owned
 //! materialization for callers that need to keep a path around.
-//! Construction reads per-head distance labels ([`HeadLabels`]) so one
+//! Construction reads per-head distance labels ([`LabelStore`]) so one
 //! BFS sweep per head serves every consumer.
 
 use crate::adjacency::{self, NeighborRule, NeighborSets};
 use crate::clustering::Clustering;
 use adhoc_graph::bfs::{self, Adjacency};
 use adhoc_graph::graph::NodeId;
-use adhoc_graph::labels::{HeadLabels, LabelStore};
+use adhoc_graph::labels::LabelStore;
 use adhoc_graph::lmst::TieWeight;
 use adhoc_graph::paths;
 
@@ -217,10 +217,11 @@ impl VirtualGraph {
     /// Builds the virtual graph of `clustering` under `rule`: one
     /// canonical shortest path per selected pair, each at most `2k+1`
     /// hops (guaranteed by both rules). Runs one bounded BFS per head
-    /// ([`HeadLabels`]) and derives everything from the labels.
+    /// ([`LabelStore`]) and derives everything from the labels.
     pub fn build<G: Adjacency>(g: &G, clustering: &Clustering, rule: NeighborRule) -> Self {
         let bound = 2 * clustering.k + 1;
-        let labels = LabelStore::Dense(HeadLabels::build(g, &clustering.heads, bound));
+        let mut labels = LabelStore::default();
+        labels.rebuild(g, &clustering.heads, bound);
         let neighbor_sets = match rule {
             NeighborRule::All2kPlus1 => adjacency::nc_from_labels(clustering, &labels),
             NeighborRule::Adjacent => adjacency::neighbor_clusterheads(g, clustering, rule),
@@ -229,8 +230,8 @@ impl VirtualGraph {
     }
 
     /// Builds the virtual graph for an already-computed neighbor
-    /// relation from shared head labels — dense or sparse, the walks
-    /// only need [`DistLabels`](adhoc_graph::bfs::DistLabels) row views
+    /// relation from shared head labels — in either row storage, the
+    /// walks only need [`DistLabels`](adhoc_graph::bfs::DistLabels) row views
     /// (no graph traversal beyond the canonical label walks).
     ///
     /// # Panics
@@ -412,7 +413,7 @@ impl VirtualGraph {
 pub fn complete_link_store<G: Adjacency>(
     g: &G,
     clustering: &Clustering,
-    labels: &HeadLabels,
+    labels: &LabelStore,
 ) -> LinkStore {
     assert_eq!(labels.bound(), u32::MAX, "G-MST needs unbounded labels");
     let mut store = LinkStore::default();
@@ -436,7 +437,7 @@ pub fn complete_link_store<G: Adjacency>(
 /// own labels (one BFS per head, stopping at the farthest head — the
 /// complete links only ever walk between heads).
 pub fn complete_virtual_links<G: Adjacency>(g: &G, clustering: &Clustering) -> Vec<VirtualLink> {
-    let mut labels = HeadLabels::default();
+    let mut labels = LabelStore::default();
     labels.rebuild_reaching_heads(g, &clustering.heads);
     complete_link_store(g, clustering, &labels)
         .iter()

@@ -35,7 +35,7 @@ impl Adjacency for Graph {
 ///
 /// The canonical-path walk ([`lexico_path_from_labels`]) only needs
 /// `dist` lookups, so it runs equally off a fresh [`BfsScratch`] run or
-/// a stored row of [`crate::labels::HeadLabels`].
+/// a stored row of a [`crate::labels::LabelStore`].
 pub trait DistLabels {
     /// Distance of `v` from the label source (`UNREACHED` if outside
     /// the labeled ball).
@@ -275,7 +275,7 @@ pub fn lexico_shortest_path<G: Adjacency>(
 
 /// As [`lexico_shortest_path`], but reusing labels already rooted at
 /// `to` — a [`BfsScratch`] after `run(g, to, ..)` or a stored
-/// [`crate::labels::HeadLabels`] row.
+/// [`crate::labels::LabelStore`] row.
 ///
 /// # Panics
 /// Panics if `labels` is not rooted at `to`.

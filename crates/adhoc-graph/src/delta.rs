@@ -8,7 +8,7 @@
 //!
 //! * [`gen::SpatialGrid`](crate::gen::SpatialGrid) produces deltas from
 //!   moved node positions;
-//! * [`HeadLabels::dirty_slots`](crate::labels::HeadLabels::dirty_slots)
+//! * [`LabelStore::dirty_slots`](crate::labels::LabelStore::dirty_slots)
 //!   consumes them to find the clusterheads whose `2k+1` balls a change
 //!   touched;
 //! * `adhoc-cluster::pipeline::update_all` refreshes only the virtual

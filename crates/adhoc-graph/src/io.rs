@@ -44,11 +44,14 @@ pub fn write_network<W: Write>(
     Ok(())
 }
 
-/// Parses the text format.
+/// Parses the text format. Counts and node IDs are `u32` integers,
+/// coordinates are floats, and every line carries exactly its tag's
+/// fields.
 ///
 /// # Errors
-/// Returns `InvalidData` on malformed lines, out-of-range endpoints,
-/// duplicate edges, or a partial position set.
+/// Returns `InvalidData`, naming the line, on malformed or non-integer
+/// numbers, missing or trailing fields, a repeated `nodes` line,
+/// out-of-range endpoints, duplicate edges, or a partial position set.
 pub fn read_network<R: BufRead>(r: &mut R) -> std::io::Result<NetworkFile> {
     let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
     let mut graph: Option<Graph> = None;
@@ -59,40 +62,56 @@ pub fn read_network<R: BufRead>(r: &mut R) -> std::io::Result<NetworkFile> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let mut it = line.split_whitespace();
-        let tag = it.next().expect("nonempty line");
-        let mut num = |what: &str| -> std::io::Result<f64> {
-            it.next()
-                .ok_or_else(|| bad(format!("line {}: missing {what}", lineno + 1)))?
-                .parse::<f64>()
-                .map_err(|e| bad(format!("line {}: {what}: {e}", lineno + 1)))
+        let at = |msg: String| bad(format!("line {}: {msg}", lineno + 1));
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        let (tag, args) = fields.split_first().expect("nonempty line");
+        let names: &[&str] = match *tag {
+            "nodes" => &["count"],
+            "pos" => &["id", "x", "y"],
+            "edge" => &["u", "v"],
+            other => return Err(at(format!("unknown tag {other}"))),
         };
-        match tag {
+        if args.len() != names.len() {
+            return Err(at(format!(
+                "'{tag}' takes {} ({}), got {}",
+                names.len(),
+                names.join(" "),
+                args.len()
+            )));
+        }
+        let int = |i: usize| {
+            args[i]
+                .parse::<u32>()
+                .map_err(|e| at(format!("{} {:?}: {e}", names[i], args[i])))
+        };
+        match *tag {
             "nodes" => {
-                let n = num("count")? as usize;
-                graph = Some(Graph::new(n));
+                if graph.is_some() {
+                    return Err(at("repeated 'nodes' line".into()));
+                }
+                graph = Some(Graph::new(int(0)? as usize));
             }
             "pos" => {
-                let id = num("id")? as usize;
-                let x = num("x")?;
-                let y = num("y")?;
-                positions.push((id, Point::new(x, y)));
+                let float = |i: usize| {
+                    args[i]
+                        .parse::<f64>()
+                        .map_err(|e| at(format!("{} {:?}: {e}", names[i], args[i])))
+                };
+                positions.push((int(0)? as usize, Point::new(float(1)?, float(2)?)));
             }
-            "edge" => {
+            _ => {
                 let g = graph
                     .as_mut()
-                    .ok_or_else(|| bad(format!("line {}: edge before nodes", lineno + 1)))?;
-                let u = num("u")? as u32;
-                let v = num("v")? as u32;
+                    .ok_or_else(|| at("edge before nodes".into()))?;
+                let (u, v) = (int(0)?, int(1)?);
                 if u as usize >= g.len() || v as usize >= g.len() || u == v {
-                    return Err(bad(format!("line {}: bad edge {u}-{v}", lineno + 1)));
+                    return Err(at(format!("bad edge {u}-{v}")));
                 }
                 if g.has_edge(NodeId(u), NodeId(v)) {
-                    return Err(bad(format!("line {}: duplicate edge {u}-{v}", lineno + 1)));
+                    return Err(at(format!("duplicate edge {u}-{v}")));
                 }
                 g.add_edge(NodeId(u), NodeId(v));
             }
-            other => return Err(bad(format!("line {}: unknown tag {other}", lineno + 1))),
         }
     }
     let graph = graph.ok_or_else(|| bad("missing 'nodes' line".into()))?;
@@ -194,6 +213,50 @@ mod tests {
                 "accepted malformed input: {bad:?}"
             );
         }
+    }
+
+    /// Parses `text`, expecting an error that names `line`.
+    fn rejected_at(text: &str, line: usize) -> String {
+        let err =
+            read_network(&mut std::io::Cursor::new(text)).expect_err("malformed input accepted");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.starts_with(&format!("line {line}: ")), "{msg}");
+        msg
+    }
+
+    #[test]
+    fn rejects_negative_ids() {
+        rejected_at("nodes 3\nedge -1 2\n", 2);
+        rejected_at("nodes 3\npos -1 0.0 0.0\n", 2);
+    }
+
+    #[test]
+    fn rejects_trailing_fields() {
+        let msg = rejected_at("nodes 3\nedge 1 2 99\n", 2);
+        assert!(msg.contains("takes 2"), "{msg}");
+        rejected_at("nodes 3 4\n", 1);
+        rejected_at("nodes 2\npos 0 1.0 2.0 3.0\n", 2);
+    }
+
+    #[test]
+    fn rejects_a_repeated_nodes_line() {
+        let msg = rejected_at("nodes 3\nedge 0 1\n# again\nnodes 3\n", 4);
+        assert!(msg.contains("repeated 'nodes'"), "{msg}");
+    }
+
+    #[test]
+    fn rejects_non_integer_counts_and_ids() {
+        for text in [
+            "nodes 1e30\n",
+            "nodes 2.5\n",
+            "nodes 4294967296\n",
+            "nodes -3\n",
+        ] {
+            rejected_at(text, 1);
+        }
+        rejected_at("nodes 3\nedge 0 1.0\n", 2);
+        rejected_at("nodes 3\npos 0.5 1.0 2.0\n", 2);
     }
 
     #[test]

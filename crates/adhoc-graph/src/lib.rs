@@ -19,10 +19,9 @@
 //!   (lexicographically smallest) shortest paths.
 //! * [`labels`] — per-clusterhead distance labels, the single-sweep
 //!   substrate of the evaluation engine (`adhoc-cluster::pipeline`'s
-//!   `run_all`): the dense flat-arena [`HeadLabels`], the ball-indexed
-//!   [`labels::SparseHeadLabels`] for large `N`, and the
-//!   [`labels::LabelStore`] facade that lets every consumer run off
-//!   either layout.
+//!   `run_all`): one [`LabelStore`] type whose rows are flat
+//!   `heads × n` distances or, for large `N`, per-head ball tables,
+//!   picked per build by [`LabelMode`].
 //! * [`mst`] — Kruskal and Prim minimum spanning trees over abstract
 //!   weights, and [`unionfind::UnionFind`].
 //! * [`lmst`] — the Li/Hou/Sha local minimum spanning tree rule, both in
@@ -74,6 +73,6 @@ pub use csr::Csr;
 pub use delta::TopologyDelta;
 pub use geom::Point;
 pub use graph::{Graph, NodeId};
-pub use labels::{HeadLabels, LabelMode, LabelStore, SparseHeadLabels};
+pub use labels::{LabelMode, LabelStore};
 pub use obs::{Metrics, MetricsSnapshot};
 pub use par::Parallelism;

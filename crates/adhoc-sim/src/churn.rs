@@ -291,9 +291,6 @@ pub struct ChurnEngine {
     /// phase (atomic swap + epoch bump) — never mutated in place while
     /// a reconcile is in flight.
     route_plan: Option<RoutePlan>,
-    /// Inter-head layout policy every (re)compiled plan is built under
-    /// (set by [`Self::enable_routing_with_inter`]).
-    inter_mode: InterMode,
     /// Publication counter stamped onto every swapped-in plan.
     plan_epoch: u64,
     /// Set while a reconcile has run observe (and possibly repair) but
@@ -321,8 +318,9 @@ impl ChurnEngine {
         Self::build_with_labels(g, cfg, LabelMode::Auto)
     }
 
-    /// As [`Self::build`], with an explicit label layout policy for
-    /// the maintained arena (`khop churn --labels` drives this).
+    /// As [`Self::build`], with an explicit label storage policy for
+    /// the maintained arena (tests pin `Dense` and `Sparse` through
+    /// this).
     pub fn build_with_labels(g: &Graph, cfg: MovementConfig, labels: LabelMode) -> Self {
         let clustering = cluster(g, cfg.k, &LowestId, MemberPolicy::IdBased);
         let mut scratch = EvalScratch::with_mode(labels);
@@ -340,7 +338,6 @@ impl ChurnEngine {
             last_valid: true,
             last_backbone_ok: true,
             route_plan: None,
-            inter_mode: InterMode::Auto,
             plan_epoch: 0,
             in_flight: None,
             metrics: Metrics::disabled(),
@@ -355,16 +352,9 @@ impl ChurnEngine {
     /// maintained algorithm's backbone and keeps it current through
     /// every subsequent step, departure, and rebuild. The maintained
     /// plan is always identical to one compiled from scratch on the
-    /// engine's current state (pinned by the `route_churn` tests).
+    /// engine's current state (pinned by the `route_churn` tests). The
+    /// plan picks its inter-head layout per compile ([`InterMode::Auto`]).
     pub fn enable_routing(&mut self) {
-        self.enable_routing_with_inter(InterMode::Auto);
-    }
-
-    /// As [`Self::enable_routing`], with an explicit inter-head layout
-    /// policy for the maintained plan (`khop route --inter` drives
-    /// this); the policy survives every recompile the maintainer does.
-    pub fn enable_routing_with_inter(&mut self, inter: InterMode) {
-        self.inter_mode = inter;
         let plan = self.compile_plan();
         self.install_plan(plan);
     }
@@ -383,7 +373,7 @@ impl ChurnEngine {
             &self.clustering,
             self.scratch.labels(),
             self.eval.selected_links(self.cfg.algorithm),
-            self.inter_mode,
+            InterMode::Auto,
             self.scratch.parallelism(),
             &self.metrics,
         )
@@ -501,8 +491,8 @@ impl ChurnEngine {
         &self.eval
     }
 
-    /// The incrementally maintained head labels (dense or sparse per
-    /// the layout the engine was built with).
+    /// The incrementally maintained head labels (flat rows or ball
+    /// tables, as the storage policy picked at the last full build).
     pub fn labels(&self) -> &LabelStore {
         self.scratch.labels()
     }

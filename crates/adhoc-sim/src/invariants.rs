@@ -200,13 +200,10 @@ pub fn check_equivalence(engine: &ChurnEngine) -> Vec<Violation> {
         }
     }
 
-    // Labels ≡ cold rebuild (same layout, same bound).
+    // Labels ≡ cold rebuild (same bound; the comparison reads balls and
+    // distances, which every row storage answers identically).
     let maintained = engine.labels();
-    let mut fresh = if maintained.is_sparse() {
-        LabelStore::sparse()
-    } else {
-        LabelStore::dense()
-    };
+    let mut fresh = LabelStore::default();
     fresh.rebuild(g, &clustering.heads, maintained.bound());
     if let Some(why) = label_mismatch(maintained, &fresh) {
         out.push(Violation::new("I1", why));

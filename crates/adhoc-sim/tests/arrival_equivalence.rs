@@ -10,7 +10,7 @@
 //!   equal a cold `pipeline::run_all` (+ `RoutePlan::compile`) on the
 //!   live graph and clustering.
 //! * Head gain/loss chains on a path: dense and sparse layouts stay
-//!   identical row for row, both equal a cold `HeadLabels::build`, and
+//!   identical row for row, both equal a cold flat-rows build, and
 //!   `rebuild_count` never moves — a single head gained or lost is a
 //!   row splice, not an arena rebuild.
 
@@ -19,7 +19,7 @@ use adhoc_cluster::pipeline::{self, Algorithm, EvalScratch, LabelMode};
 use adhoc_cluster::routing::RoutePlan;
 use adhoc_graph::geom::Point;
 use adhoc_graph::graph::NodeId;
-use adhoc_graph::labels::HeadLabels;
+use adhoc_graph::labels::LabelStore;
 use adhoc_sim::churn::ChurnEngine;
 use adhoc_sim::mobility::{Mobility, RandomWaypoint, WaypointConfig};
 use adhoc_sim::movement::MovementConfig;
@@ -201,7 +201,7 @@ proptest! {
     /// Head gain/loss chains: departures and re-arrivals on a path
     /// (whose clusterheads sit at fixed positions, so hitting one is
     /// easy) must keep dense and sparse label stores identical row for
-    /// row, equal to a cold `HeadLabels::build` on the live graph —
+    /// row, equal to a cold flat-rows build on the live graph —
     /// and must never rebuild either arena. A forced head
     /// depart/re-arrive cycle at the end guarantees every case
     /// exercises at least one single-head loss and one single-head
@@ -272,7 +272,8 @@ proptest! {
             }
             let live = dense.graph();
             assert_labels_match!(dense.labels(), sparse.labels(), live, &ctx);
-            let cold = HeadLabels::build(live, &dense.clustering.heads, 2 * k + 1);
+            let mut cold = LabelStore::dense();
+            cold.rebuild(live, &dense.clustering.heads, 2 * k + 1);
             assert_labels_match!(dense.labels(), &cold, live, &ctx);
         }
     }

@@ -16,7 +16,7 @@
 use adhoc_cluster::pipeline::{self, Algorithm};
 use adhoc_cluster::clustering::Clustering;
 use adhoc_graph::graph::NodeId;
-use adhoc_graph::labels::HeadLabels;
+use adhoc_graph::labels::LabelStore;
 use adhoc_sim::churn::ChurnEngine;
 use adhoc_sim::mobility::{
     DirectionConfig, GaussMarkov, GaussMarkovConfig, Mobility, RandomDirection, RandomWaypoint,
@@ -34,7 +34,8 @@ fn assert_engine_equals_cold(engine: &ChurnEngine, ctx: &str) {
     let clustering: &Clustering = &engine.clustering;
 
     // Labels: incremental maintenance == cold build, row by row.
-    let cold_labels = HeadLabels::build(g, &clustering.heads, 2 * clustering.k + 1);
+    let mut cold_labels = LabelStore::dense();
+    cold_labels.rebuild(g, &clustering.heads, 2 * clustering.k + 1);
     let warm = engine.labels();
     assert_eq!(warm.heads(), cold_labels.heads(), "{ctx}: label heads");
     for slot in 0..clustering.heads.len() {

@@ -5,14 +5,12 @@
 //! khop gen  --n 100 --d 6 --seed 7 --out net.txt      generate a network file
 //! khop run  [--input net.txt | --n 100 --d 6 --seed 7] --k 2 --alg ac-lmst [--json]
 //! khop run  --alg all ...                              all five algorithms, one engine sweep
-//! khop run  --labels sparse ...                        force a label layout (dense|sparse|auto)
 //! khop dist [--input net.txt | --n ... ] --k 2 --alg ac-lmst    distributed run + stats
 //! khop info --input net.txt                            topology metrics
 //! khop exact [--n 24 --d 5 --seed 7] --k 1             exact optimum + ratios
 //! khop maintain --n 100 --k 2 --steps 50 --speed 1.0   movement-sensitive repair
 //! khop churn --n 200 --k 2 --steps 40 --movers 10      incremental delta engine vs rebuild
 //! khop route --n 400 --k 2 --alg ac-lmst --queries 5000 --mix local   compiled route serving
-//! khop route --inter hub ...                           force the inter-head layout (dense|hub|auto)
 //! khop resilience --n 300 --k 2 --attack heads --fraction 0.2   attack, repair, heal
 //! khop mac  [--n 120 --d 10] --k 1 --cw 8              broadcast under CSMA
 //! ```
@@ -96,7 +94,6 @@ fn die(msg: &str) -> ! {
     eprintln!("            [--attack heads|degree|regional|partition] [--fraction F] [--pairs P]");
     eprintln!("            [--repair-level none|reaffiliate|gateways|full]");
     eprintln!("            [--alg nc-mesh|ac-mesh|nc-lmst|ac-lmst|g-mst|all]");
-    eprintln!("            [--labels dense|sparse|auto] [--inter dense|hub|auto]");
     eprintln!("            [--input FILE] [--out FILE] [--json] [--metrics[=FILE]]");
     eprintln!("            [--budget B] [--verbose]");
     eprintln!("       each command accepts only the flags it reads");
@@ -160,11 +157,6 @@ fn cmd_gen(args: &Args) {
         net.graph.average_degree(),
         net.range
     );
-}
-
-/// The `--labels {dense,sparse,auto}` layout policy (default `auto`).
-fn parse_labels(args: &Args) -> LabelMode {
-    args.get("labels", LabelMode::Auto)
 }
 
 /// The `--workers W` worker-pool width; defaults to
@@ -250,16 +242,9 @@ fn warn_if_unverifiable(g: &Graph) -> bool {
 
 /// `khop run --alg all`: evaluate all five algorithms through the
 /// single-sweep engine (`pipeline::run_all`) on one shared clustering.
-fn cmd_run_all(
-    g: &Graph,
-    k: u32,
-    labels: LabelMode,
-    par: Parallelism,
-    json: bool,
-    sink: Option<MetricsSink>,
-) {
+fn cmd_run_all(g: &Graph, k: u32, par: Parallelism, json: bool, sink: Option<MetricsSink>) {
     let clustering = clustering::cluster(g, k, &LowestId, MemberPolicy::IdBased);
-    let mut scratch = EvalScratch::with_tuning(labels, par);
+    let mut scratch = EvalScratch::with_tuning(LabelMode::Auto, par);
     if let Some(s) = &sink {
         scratch.set_metrics(s.metrics.clone());
     }
@@ -331,21 +316,20 @@ fn cmd_run_all(
 fn cmd_run(args: &Args) {
     let g = obtain_graph(args);
     let k: u32 = args.get("k", 2);
-    let labels = parse_labels(args);
     let par = parse_workers(args);
     let sink = parse_metrics(args);
     let alg_name = args.opt("alg").unwrap_or("ac-lmst");
     if alg_name.eq_ignore_ascii_case("all") {
-        cmd_run_all(&g, k, labels, par, args.has("json"), sink);
+        cmd_run_all(&g, k, par, args.has("json"), sink);
         return;
     }
     let alg = parse_alg(alg_name);
     // Only the requested algorithm's phases run here (the shared
     // engine sweep is `--alg all`'s job); the scratch carries the
-    // chosen label layout and worker-pool width, and G-MST — the
-    // centralized baseline — ignores both.
+    // worker-pool width, and G-MST — the centralized baseline —
+    // ignores it.
     let clustering = clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased);
-    let mut scratch = EvalScratch::with_tuning(labels, par);
+    let mut scratch = EvalScratch::with_tuning(LabelMode::Auto, par);
     if let Some(s) = &sink {
         scratch.set_metrics(s.metrics.clone());
     }
@@ -529,7 +513,6 @@ fn cmd_churn(args: &Args) {
     let steps: usize = args.get("steps", 40);
     let movers: usize = args.get("movers", 10.min(n));
     let speed: f64 = args.get("speed", 2.0);
-    let labels = parse_labels(args);
     let par = parse_workers(args);
     let sink = parse_metrics(args);
     if k == 0 {
@@ -574,7 +557,7 @@ fn cmd_churn(args: &Args) {
     let (mut churn_edges, mut dirty, mut head_steps, mut cost) = (0usize, 0usize, 0usize, 0usize);
     {
         let mut grid = SpatialGrid::build(&snapshots[0], base.range);
-        let mut engine = ChurnEngine::build_with_labels(grid.graph(), policy, labels);
+        let mut engine = ChurnEngine::build(grid.graph(), policy);
         engine.set_workers(par);
         if let Some(s) = &sink {
             // Metrics ride the recording pass — the bare timed replay
@@ -594,7 +577,7 @@ fn cmd_churn(args: &Args) {
         }
     }
     let mut grid = SpatialGrid::build(&snapshots[0], base.range);
-    let mut engine = ChurnEngine::build_with_labels(grid.graph(), policy, labels);
+    let mut engine = ChurnEngine::build(grid.graph(), policy);
     engine.set_workers(par);
     let t = Instant::now();
     for snapshot in &snapshots[1..] {
@@ -608,9 +591,9 @@ fn cmd_churn(args: &Args) {
         engine.labels().memory_bytes(),
     );
 
-    // Rebuild-every-step arm on the same clustering sequence, under
-    // the same label layout policy and worker-pool width.
-    let mut scratch = EvalScratch::with_tuning(labels, par);
+    // Rebuild-every-step arm on the same clustering sequence, with the
+    // same worker-pool width.
+    let mut scratch = EvalScratch::with_tuning(LabelMode::Auto, par);
     let t = Instant::now();
     for (snapshot, clustering) in snapshots[1..].iter().zip(&clusterings) {
         let g = gen::unit_disk_graph(snapshot, base.range);
@@ -751,7 +734,6 @@ fn cmd_resilience(args: &Args) {
     let seed: u64 = args.get("seed", 1);
     let fraction: f64 = args.get("fraction", 0.2);
     let pair_count: usize = args.get("pairs", 800);
-    let labels = parse_labels(args);
     let par = parse_workers(args);
     let sink = parse_metrics(args);
     let json = args.has("json");
@@ -781,7 +763,7 @@ fn cmd_resilience(args: &Args) {
     let mut rng = StdRng::seed_from_u64(seed);
     let net = generate(n, d, &mut rng);
     let policy = MovementConfig::strict(k, Algorithm::AcLmst).capped(level);
-    let mut engine = ChurnEngine::build_with_labels(&net.graph, policy, labels);
+    let mut engine = ChurnEngine::build(&net.graph, policy);
     engine.set_workers(par);
     if let Some(s) = &sink {
         engine.set_metrics(s.metrics.clone());
@@ -941,8 +923,6 @@ fn cmd_route(args: &Args) {
     let queries: usize = args.get("queries", 5000);
     let workers: usize = args.get("workers", 2);
     let seed: u64 = args.get("seed", 1);
-    let labels = parse_labels(args);
-    let inter: InterMode = args.get("inter", InterMode::Auto);
     let mix: Mix = args.get("mix", Mix::Uniform);
     let sink = parse_metrics(args);
     let alg_name = args.opt("alg").unwrap_or("ac-lmst");
@@ -960,7 +940,7 @@ fn cmd_route(args: &Args) {
     let par = Parallelism::new(workers);
     let metrics = sink.as_ref().map_or(Metrics::disabled(), |s| s.metrics.clone());
     let clustering = clustering::cluster(&g, k, &LowestId, MemberPolicy::IdBased);
-    let mut scratch = EvalScratch::with_tuning(labels, par);
+    let mut scratch = EvalScratch::with_tuning(LabelMode::Auto, par);
     scratch.set_metrics(metrics.clone());
     let eval = pipeline::run_all_with(&g, &clustering, &mut scratch);
     let links = eval.selected_links(alg);
@@ -970,7 +950,7 @@ fn cmd_route(args: &Args) {
         &clustering,
         scratch.labels(),
         links.iter().copied(),
-        inter,
+        InterMode::Auto,
         par,
         &metrics,
     );
@@ -1030,7 +1010,6 @@ fn cmd_route(args: &Args) {
                 "build_ms": build_ms,
                 "plan_memory_bytes": plan.memory_bytes(),
                 "labels_layout": scratch.labels().layout_name(),
-                "inter_mode": inter.name(),
                 "inter_layout": plan.inter_layout(),
                 "inter_bytes": plan.inter_memory_bytes(),
                 "inter_dense_projected_bytes": plan.projected_dense_inter_bytes(),
@@ -1139,7 +1118,7 @@ fn main() {
         "gen" => (cmd_gen, vec!["n", "d", "seed", "out"]),
         "run" => (
             cmd_run,
-            with_graph(&["k", "alg", "labels", "workers", "metrics", "json"]),
+            with_graph(&["k", "alg", "workers", "metrics", "json"]),
         ),
         "dist" => (cmd_dist, with_graph(&["k", "alg"])),
         "info" => (cmd_info, with_graph(&[])),
@@ -1151,13 +1130,13 @@ fn main() {
         "churn" => (
             cmd_churn,
             vec![
-                "n", "d", "k", "seed", "steps", "movers", "speed", "labels", "workers", "metrics",
+                "n", "d", "k", "seed", "steps", "movers", "speed", "workers", "metrics",
             ],
         ),
         "route" => (
             cmd_route,
             with_graph(&[
-                "k", "alg", "queries", "workers", "labels", "inter", "mix", "metrics", "json",
+                "k", "alg", "queries", "workers", "mix", "metrics", "json",
             ]),
         ),
         "resilience" => (
@@ -1171,7 +1150,6 @@ fn main() {
                 "fraction",
                 "pairs",
                 "repair-level",
-                "labels",
                 "workers",
                 "metrics",
                 "json",

@@ -51,7 +51,6 @@ pub mod prelude {
     pub use adhoc_graph::gen::{self, SpatialGrid};
     pub use adhoc_graph::geom::Point;
     pub use adhoc_graph::graph::{Graph, NodeId};
-    pub use adhoc_graph::labels::HeadLabels;
     pub use adhoc_graph::obs::{self, Metrics, MetricsSnapshot};
     pub use adhoc_graph::par::Parallelism;
     pub use adhoc_sim::adversary::{self, AttackKind};

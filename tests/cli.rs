@@ -111,11 +111,17 @@ fn dist_rejects_gmst() {
 #[test]
 fn unknown_flag_fails_with_usage() {
     // `--nodes` is no flag of any subcommand; `--k` is one of `run`'s
-    // but not of `gen`'s.
+    // but not of `gen`'s. The label storage and the inter-head layout
+    // are picked from projected sizes, so `--labels` and `--inter` are
+    // no flags either.
     for args in [
         &["churn", "--nodes", "120", "--steps", "2"][..],
         &["gen", "--n", "20", "--k", "2"][..],
         &["run", "--n", "40", "--metric=m.json"][..],
+        &["run", "--n", "40", "--labels", "sparse"][..],
+        &["churn", "--n", "40", "--steps", "2", "--labels", "dense"][..],
+        &["route", "--n", "40", "--inter", "hub"][..],
+        &["resilience", "--n", "40", "--labels", "auto"][..],
     ] {
         let out = khop(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");
@@ -135,4 +141,27 @@ fn churn_generates_at_scale() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{err}");
     assert!(err.contains("not required to be connected"), "{err}");
+}
+
+/// A malformed `--input` file fails with the offending line number and
+/// exit code 2, never a panic or a silently different graph.
+#[test]
+fn info_rejects_malformed_input_with_line_number() {
+    let dir = std::env::temp_dir().join(format!("khop-cli-bad-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let net = dir.join("bad.txt");
+    for (text, line) in [
+        ("nodes 3\nedge -1 2\n", 2),
+        ("nodes 3\nedge 1 2 99\n", 2),
+        ("nodes 3\nedge 0 1\nnodes 3\n", 3),
+        ("# big\nnodes 1e30\n", 2),
+    ] {
+        std::fs::write(&net, text).unwrap();
+        let out = khop(&["info", "--input", net.to_str().unwrap()]);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{text:?}: {err}");
+        assert!(err.contains(&format!("line {line}: ")), "{text:?}: {err}");
+        assert!(!err.contains("panicked"), "{text:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
